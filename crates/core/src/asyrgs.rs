@@ -389,7 +389,9 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
         counter.store(limit, Ordering::Relaxed);
         epoch += 1;
         // Synchronized: observe telemetry through the driver (scratch
-        // buffers reused, nothing allocated).
+        // buffers reused, nothing allocated). The residual runs on the
+        // solve's own workers, bitwise equal to the serial one; its norm
+        // stays serial, in the same order.
         let stop = if let Some(mon) = monitor.as_mut() {
             // Watchdog path: the residual is needed every epoch anyway, so
             // compute it eagerly, run the health checks (a trip returns a
@@ -397,7 +399,7 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
             // after the loop), and feed the driver the precomputed values.
             shared.snapshot_into(snap);
             mon.check_iterate("asyrgs_solve", round as usize, snap)?;
-            a.residual_into(b, snap, resid);
+            a.par_residual_into_on(pool, threads_now, b, snap, resid);
             let rel = dense::norm2(resid) / norm_b;
             mon.observe_residual(round as usize, rel)?;
             healthy.clear();
@@ -412,7 +414,7 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
         } else {
             driver.observe_lazy(sweeps_done, limit, || {
                 shared.snapshot_into(snap);
-                a.residual_into(b, snap, resid);
+                a.par_residual_into_on(pool, threads_now, b, snap, resid);
                 let rel = dense::norm2(resid) / norm_b;
                 let err = x_star.map(|xs| {
                     for ((di, si), xsi) in diff.iter_mut().zip(snap.iter()).zip(xs) {

@@ -235,7 +235,7 @@ pub struct Termination {
     pub max_sweeps: usize,
     /// Stop once the relative residual drops to this value (checked at
     /// record points for lazily-evaluated residuals, every sweep for
-    /// maintained ones).
+    /// maintained ones and under end-only recording).
     pub target_rel_residual: Option<f64>,
     /// Stop at the first sweep boundary after this much wall-clock time.
     pub wall_clock: Option<Duration>,
@@ -297,7 +297,8 @@ impl Default for Termination {
 /// Residual-recording cadence.
 ///
 /// `every = 0` means "record only at the stopping boundary" — the cheapest
-/// setting, one residual evaluation per solve.
+/// setting: one residual evaluation per solve, or, with a residual target,
+/// one per sweep boundary until the target is met.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recording {
     /// Record every this-many sweeps (`0` = stopping boundary only).
@@ -421,6 +422,12 @@ impl Driver {
     /// target is therefore checked at record points only — the
     /// Gauss-Seidel family's historical semantics.
     ///
+    /// The exception is [`Recording::end_only`] with a residual target:
+    /// there the only record point is the stopping boundary, which the
+    /// target itself must find, so the closure runs at every boundary
+    /// and the first one that meets the target records and stops, as in
+    /// [`observe`](Self::observe). A cancelled boundary still skips it.
+    ///
     /// A single closure produces both values so solvers can thread one
     /// set of `&mut` scratch buffers (snapshot, residual, error diff)
     /// through it without allocating per observation.
@@ -438,6 +445,15 @@ impl Driver {
         if self.record.due(sweep) || last || timeup {
             let (rel, err) = observe();
             self.push(sweep, iterations, rel, err);
+        } else if self.record.every == 0 && !cancel {
+            if let Some(target) = self.term.target_rel_residual {
+                let (rel, err) = observe();
+                if rel <= target {
+                    self.push(sweep, iterations, rel, err);
+                } else if !rel.is_finite() {
+                    self.diverged = true;
+                }
+            }
         }
         self.out_of_time = timeup && !self.converged;
         // Cancellation does not force a (possibly Theta(nnz)) residual
@@ -989,6 +1005,38 @@ mod tests {
             }
         }
         assert_eq!(stopped_at, 5);
+    }
+
+    #[test]
+    fn end_only_lazy_checks_target_every_sweep_and_records_the_stop() {
+        // End-only cadence: no record point before the budget, so the
+        // target is evaluated at every boundary instead. It is first met
+        // at sweep 3, which is recorded and stops the solve.
+        let term = Termination::sweeps(100).with_target(1e-3);
+        let mut d = Driver::new(&term, Recording::end_only());
+        let mut evaluations = 0usize;
+        let mut stopped_at = 0;
+        for sweep in 1..=100 {
+            if d.observe_lazy(sweep, sweep as u64, || {
+                evaluations += 1;
+                (10f64.powi(-(sweep as i32)), None)
+            }) {
+                stopped_at = sweep;
+                break;
+            }
+        }
+        assert_eq!(stopped_at, 3);
+        assert_eq!(evaluations, 3);
+        let rep = d.finish(3, 1, || unreachable!("the stop was recorded"));
+        assert_eq!(rep.records.len(), 1);
+        assert_eq!(rep.records[0].sweep, 3);
+        assert!(rep.converged_early);
+        // A non-finite residual on the way stops it as diverged, unrecorded.
+        let mut d = Driver::new(&term, Recording::end_only());
+        assert!(!d.observe_lazy(1, 1, || (1.0, None)));
+        assert!(d.observe_lazy(2, 2, || (f64::NAN, None)));
+        assert!(!d.converged());
+        assert!(d.finish(2, 1, || f64::NAN).records.is_empty());
     }
 
     #[test]

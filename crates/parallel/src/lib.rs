@@ -254,12 +254,27 @@ impl WorkerPool {
     /// Panics if `grain == 0`. Worker panics are forwarded like
     /// [`run`](Self::run).
     pub fn for_each_chunk<F: Fn(usize, usize) + Sync>(&self, n_items: usize, grain: usize, f: F) {
+        self.for_each_chunk_on(self.concurrency, n_items, grain, f);
+    }
+
+    /// [`for_each_chunk`](Self::for_each_chunk) on at most `p` workers
+    /// (caller included) — for callers that own only `p` of the pool's
+    /// workers, like a solve running at its configured thread count.
+    /// Chunk boundaries are the same as at any other width; `p <= 1` runs
+    /// the chunks inline. Panics as `for_each_chunk` does.
+    pub fn for_each_chunk_on<F: Fn(usize, usize) + Sync>(
+        &self,
+        p: usize,
+        n_items: usize,
+        grain: usize,
+        f: F,
+    ) {
         assert!(grain > 0, "for_each_chunk: grain must be positive");
         if n_items == 0 {
             return;
         }
         let n_chunks = n_items.div_ceil(grain);
-        let workers = self.concurrency.min(n_chunks);
+        let workers = p.min(self.concurrency).min(n_chunks);
         let serial = workers <= 1 || IN_POOL_ROUND.with(|c| c.get());
         if serial {
             for chunk in 0..n_chunks {

@@ -16,6 +16,10 @@ use crate::error::{Result, SparseError};
 /// changes a result bitwise.
 pub const WIDE_KERNEL_CUTOFF: usize = 8;
 
+/// Rows per claimed chunk in the pooled row-wise kernels
+/// ([`CsrMatrix::par_matvec_into_on`], [`CsrMatrix::par_residual_into_on`]).
+const PAR_ROW_GRAIN: usize = 1024;
+
 /// A sparse matrix in compressed sparse row format.
 ///
 /// Invariants (enforced by [`CsrMatrix::from_raw_parts`]):
@@ -283,9 +287,8 @@ impl CsrMatrix {
     pub fn par_matvec_into_on(&self, pool: &asyrgs_parallel::WorkerPool, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols, "par_matvec: x length mismatch");
         assert_eq!(y.len(), self.n_rows, "par_matvec: y length mismatch");
-        const GRAIN: usize = 1024;
         let yp = asyrgs_parallel::SendPtr(y.as_mut_ptr());
-        pool.for_each_chunk(self.n_rows, GRAIN, |lo, hi| {
+        pool.for_each_chunk(self.n_rows, PAR_ROW_GRAIN, |lo, hi| {
             // Chunks are disjoint, so each worker owns y[lo..hi] exclusively.
             let ys = unsafe { yp.slice_mut(lo, hi) };
             for (i, yi) in ys.iter_mut().enumerate() {
@@ -411,6 +414,36 @@ impl CsrMatrix {
         }
     }
 
+    /// Residual `r <- b - A x` on up to `threads` workers of `pool` (the
+    /// caller included): rows are claimed in the chunks of
+    /// [`par_matvec_into_on`](Self::par_matvec_into_on), and each entry is
+    /// `b_i - row_dot(i, x)`, exactly as
+    /// [`residual_into`](Self::residual_into) computes it, so the result is
+    /// bitwise identical at every width. `threads <= 1` runs serially on
+    /// the caller.
+    pub fn par_residual_into_on(
+        &self,
+        pool: &asyrgs_parallel::WorkerPool,
+        threads: usize,
+        b: &[f64],
+        x: &[f64],
+        r: &mut [f64],
+    ) {
+        assert_eq!(b.len(), self.n_rows, "residual: b length mismatch");
+        assert_eq!(x.len(), self.n_cols, "residual: x length mismatch");
+        assert_eq!(r.len(), self.n_rows, "residual: r length mismatch");
+        let rp = asyrgs_parallel::SendPtr(r.as_mut_ptr());
+        pool.for_each_chunk_on(threads, self.n_rows, PAR_ROW_GRAIN, |lo, hi| {
+            // SAFETY: `r` has `n_rows` entries (asserted above), chunks
+            // cover `0..n_rows` disjointly, and each is claimed once, so
+            // this worker owns r[lo..hi] exclusively for the round.
+            let rs = unsafe { rp.slice_mut(lo, hi) };
+            for (k, ri) in rs.iter_mut().enumerate() {
+                *ri = b[lo + k] - self.row_dot(lo + k, x);
+            }
+        });
+    }
+
     /// Multi-RHS residual `R = B - A X` (row-major blocks).
     pub fn residual_block(&self, b: &RowMajorMat, x: &RowMajorMat) -> RowMajorMat {
         let mut r = RowMajorMat::zeros(self.n_rows, x.n_cols());
@@ -460,28 +493,67 @@ impl CsrMatrix {
         }
     }
 
-    /// Check numerical symmetry to within `tol` (absolute).
+    /// Check numerical symmetry to within `tol` (absolute): `false` when
+    /// some `|a_ij - a_ji| > tol`, an unstored entry counting as `0.0`,
+    /// and for every non-square matrix.
+    ///
+    /// One merge pass over the sorted rows, `O(nnz + n)` time, with an
+    /// `n`-length cursor buffer as the only allocation (no transpose).
+    /// Row `j`'s cursor walks its upper entries `(j, i)`, `i > j`, in the
+    /// order the lower entries `(i, j)` that pair with them are visited,
+    /// so each pair meets once; entries skipped on the way, and those left
+    /// at the end, have no partner and are compared against `0.0`.
+    /// Early-exits on the first violation. A NaN entry is never a
+    /// violation (`NaN > tol` is false), the same rule as
+    /// [`RowAccess::is_symmetric`](crate::RowAccess::is_symmetric)'s
+    /// generic walk, whose verdict this always matches: rejecting
+    /// non-finite input is the solvers' finite check's job.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;
         }
-        let t = self.transpose();
-        if t.row_ptr != self.row_ptr || t.col_idx != self.col_idx {
-            // Structures differ; fall back to entrywise comparison.
-            for r in 0..self.n_rows {
-                let (cols, vals) = self.row(r);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    if (v - self.get(c, r)).abs() > tol {
-                        return false;
+        let (cols, vals) = (&self.col_idx, &self.vals);
+        let mut cursor = vec![0usize; self.n_rows];
+        for i in 0..self.n_rows {
+            let (mut k, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            // Lower entries (i, j), j <= i, in increasing j.
+            while k < hi && cols[k] <= i {
+                let j = cols[k];
+                let partner = if j == i {
+                    // The diagonal is its own partner.
+                    vals[k]
+                } else {
+                    // Row j is done, so its cursor sits past its diagonal;
+                    // entries before column i there found no partner.
+                    let (mut c, end) = (cursor[j], self.row_ptr[j + 1]);
+                    while c < end && cols[c] < i {
+                        if vals[c].abs() > tol {
+                            return false;
+                        }
+                        c += 1;
                     }
+                    let v = if c < end && cols[c] == i {
+                        c += 1;
+                        vals[c - 1]
+                    } else {
+                        0.0
+                    };
+                    cursor[j] = c;
+                    v
+                };
+                if (vals[k] - partner).abs() > tol {
+                    return false;
                 }
+                k += 1;
             }
-            return true;
+            cursor[i] = k;
         }
-        self.vals
-            .iter()
-            .zip(&t.vals)
-            .all(|(a, b)| (a - b).abs() <= tol)
+        // Upper entries that no lower entry claimed.
+        !(0..self.n_rows).any(|j| {
+            vals[cursor[j]..self.row_ptr[j + 1]]
+                .iter()
+                .any(|v| v.abs() > tol)
+        })
     }
 
     /// Extract the diagonal (zero where no entry is stored).
@@ -686,8 +758,8 @@ mod tests {
     #[test]
     fn symmetry_check_pattern_symmetric_values_not() {
         // Same sparsity pattern as its transpose (entries at (0,1) and
-        // (1,0) both stored), but the values disagree: this exercises the
-        // fast structural path, which must still compare values.
+        // (1,0) both stored), but the values disagree: every pair meets
+        // at its cursor, and the pass must still compare the values.
         let a = CsrMatrix::from_dense(3, 3, &[4.0, -1.0, 0.0, -2.0, 4.0, -1.0, 0.0, -1.0, 4.0]);
         let t = a.transpose();
         assert_eq!(a.row_ptr, t.row_ptr);
@@ -698,9 +770,10 @@ mod tests {
 
     #[test]
     fn symmetry_check_structurally_nonsymmetric() {
-        // Entry at (0,2) with no stored partner at (2,0): the structural
-        // fast path fails and the entrywise fallback must reject (the
-        // implicit zero at (2,0) differs from 5.0 by more than tol).
+        // Entry at (0,2) with no stored partner at (2,0): no lower entry
+        // claims it, so the final sweep over unclaimed upper entries must
+        // reject (the implicit zero at (2,0) differs from 5.0 by more
+        // than tol).
         let a = CsrMatrix::from_dense(3, 3, &[1.0, 0.0, 5.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
         assert!(!a.is_symmetric(1e-9));
         assert!(a.is_symmetric(5.0 + 1e-12));

@@ -17,6 +17,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::dense::{self, RowMajorMat};
+use asyrgs_parallel::WorkerPool;
 
 /// A real linear operator `A: R^{n_cols} -> R^{n_rows}`, accessed through
 /// matrix-vector products.
@@ -77,6 +78,22 @@ pub trait LinearOperator {
         for (ri, bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
+    }
+
+    /// [`residual_into`](Self::residual_into) on up to `threads` workers
+    /// of `pool`, bitwise identical to it at every width. The default runs
+    /// it serially on the caller; [`CsrMatrix`], whose residual splits by
+    /// row, overrides it with
+    /// [`CsrMatrix::par_residual_into_on`].
+    fn par_residual_into_on(
+        &self,
+        _pool: &WorkerPool,
+        _threads: usize,
+        b: &[f64],
+        x: &[f64],
+        r: &mut [f64],
+    ) {
+        self.residual_into(b, x, r);
     }
 
     /// Relative residual `||b - A x||_2 / norm_b` computed through a
@@ -163,6 +180,36 @@ pub trait RowAccess: LinearOperator {
         });
         out
     }
+
+    /// Whether the operator is symmetric to within `tol` (absolute):
+    /// `false` when some stored entry has `|a_ij - a_ji| > tol`, an
+    /// unstored partner counting as `0.0`, and for every non-square
+    /// operator. A NaN entry is never a violation (`NaN > tol` is false);
+    /// the solvers' finite check owns non-finite input.
+    ///
+    /// This is the symmetry admission of the session and the scheduler.
+    /// The default walks every stored entry and point-queries its partner
+    /// through [`row_entry`](Self::row_entry), allocation-free and exiting
+    /// on the first violation. [`CsrMatrix`] overrides it with the
+    /// one-pass merge of [`CsrMatrix::is_symmetric`], which gives the same
+    /// verdict in `O(nnz + n)`.
+    fn is_symmetric(&self, tol: f64) -> bool {
+        if !self.is_square() {
+            return false;
+        }
+        for i in 0..self.n_rows() {
+            let mut ok = true;
+            self.visit_row(i, |j, v| {
+                if ok && (v - self.row_entry(j, i)).abs() > tol {
+                    ok = false;
+                }
+            });
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -186,6 +233,17 @@ impl LinearOperator for CsrMatrix {
         assert!(self.is_square(), "diag: matrix must be square");
         out.clear();
         out.extend((0..CsrMatrix::n_rows(self)).map(|i| self.get(i, i)));
+    }
+
+    fn par_residual_into_on(
+        &self,
+        pool: &WorkerPool,
+        threads: usize,
+        b: &[f64],
+        x: &[f64],
+        r: &mut [f64],
+    ) {
+        CsrMatrix::par_residual_into_on(self, pool, threads, b, x, r)
     }
 }
 
@@ -211,6 +269,10 @@ impl RowAccess for CsrMatrix {
 
     fn row_entry(&self, i: usize, j: usize) -> f64 {
         CsrMatrix::get(self, i, j)
+    }
+
+    fn is_symmetric(&self, tol: f64) -> bool {
+        CsrMatrix::is_symmetric(self, tol)
     }
 }
 
@@ -267,6 +329,17 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     fn diag_into(&self, out: &mut Vec<f64>) {
         (**self).diag_into(out)
     }
+
+    fn par_residual_into_on(
+        &self,
+        pool: &WorkerPool,
+        threads: usize,
+        b: &[f64],
+        x: &[f64],
+        r: &mut [f64],
+    ) {
+        (**self).par_residual_into_on(pool, threads, b, x, r)
+    }
 }
 
 impl<T: RowAccess> RowAccess for &T {
@@ -288,6 +361,10 @@ impl<T: RowAccess> RowAccess for &T {
 
     fn row_entry(&self, i: usize, j: usize) -> f64 {
         (**self).row_entry(i, j)
+    }
+
+    fn is_symmetric(&self, tol: f64) -> bool {
+        (**self).is_symmetric(tol)
     }
 }
 

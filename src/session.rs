@@ -56,7 +56,10 @@
 use asyrgs_core::asyrgs::{
     asyrgs_solve_block_in, asyrgs_solve_in, AsyRgsOptions, ReadMode, WriteMode,
 };
-use asyrgs_core::driver::{ensure_beta, ensure_damping, ensure_threads, Recording, Termination};
+use asyrgs_core::driver::{
+    ensure_beta, ensure_damping, ensure_finite_matrix, ensure_square_system, ensure_threads,
+    Recording, Termination,
+};
 use asyrgs_core::error::SolveError;
 use asyrgs_core::health::{is_watchdog_trip, HealthConfig, RecoveryPolicy};
 use asyrgs_core::jacobi::{async_jacobi_solve_in, jacobi_solve_in, JacobiOptions};
@@ -225,26 +228,17 @@ pub const SYMMETRY_TOL: f64 = asyrgs_core::policy::SYMMETRY_TOL;
 
 /// Whether a square operator is symmetric to an absolute entrywise
 /// tolerance — the admission check behind
-/// [`SolverFamily::requires_symmetric`]. Works on any row-access
-/// backend; for a [`CsrMatrix`] it is equivalent to
-/// [`CsrMatrix::is_symmetric`]. Early-exits on the first violating
-/// entry.
+/// [`SolverFamily::requires_symmetric`], and a call to the backend's
+/// [`RowAccess::is_symmetric`], so the session, `Scheduler::submit` and
+/// the solver policy share one implementation per backend.
+///
+/// For a [`CsrMatrix`] that is [`CsrMatrix::is_symmetric`]'s merge pass:
+/// `O(nnz + n)` time and an `n`-length cursor buffer, no transpose. Other
+/// backends take the generic walk: one `row_entry` point query per stored
+/// entry, no allocation. Both exit on the first violation, return `false`
+/// for non-square operators, and never count a NaN entry as a violation.
 pub fn operator_is_symmetric<O: RowAccess + ?Sized>(a: &O, tol: f64) -> bool {
-    if a.n_rows() != a.n_cols() {
-        return false;
-    }
-    for i in 0..a.n_rows() {
-        let mut ok = true;
-        a.visit_row(i, |j, v| {
-            if ok && (v - a.row_entry(j, i)).abs() > tol {
-                ok = false;
-            }
-        });
-        if !ok {
-            return false;
-        }
-    }
-    true
+    a.is_symmetric(tol)
 }
 
 /// The symmetric part `(A + A^T) / 2` of a square operator, as a fresh
@@ -1167,6 +1161,20 @@ impl SolveSession {
         x: &mut [f64],
         x_star: Option<&[f64]>,
     ) -> Result<SolveReport, SolveError> {
+        // The Krylov solvers see `A` only through products, so they check
+        // `b` and `x` alone; its stored values are checked here, after the
+        // shapes, in the order the Gauss-Seidel families check them.
+        let krylov = match self.config.family {
+            SolverFamily::Cg => Some("cg_solve"),
+            SolverFamily::Fcg => Some("fcg_solve"),
+            SolverFamily::Bicgstab => Some("bicgstab_solve"),
+            SolverFamily::Gmres => Some("gmres_solve"),
+            _ => None,
+        };
+        if let Some(solver) = krylov {
+            ensure_square_system(solver, a.n_rows(), a.n_cols(), b.len(), x.len())?;
+            ensure_finite_matrix(solver, a)?;
+        }
         match self.config.family {
             SolverFamily::Rgs => {
                 let opts = self.rgs_options();

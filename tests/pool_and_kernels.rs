@@ -23,22 +23,38 @@ fn pool_widths() -> Vec<usize> {
 }
 
 /// Ragged and aligned sizes around the kernels' chunk grains (1024 for
-/// matvec, 256 for spmm).
+/// matvec and residual, 256 for spmm).
 const SIZES: [usize; 6] = [1, 7, 255, 1023, 1024, 2049];
 
 #[test]
 fn pooled_matvec_bitwise_matches_serial_across_pools_and_sizes() {
+    // Also the AsyRGS epoch residual: `par_residual_into_on` at the
+    // solve's thread count, which may be below the pool's width, must
+    // equal `residual_into` bit for bit.
+    let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
     for (si, &n) in SIZES.iter().enumerate() {
         for seed in [1u64, 99] {
             let a = diag_dominant(n, 5.min(n), 2.0, seed.wrapping_add(si as u64));
             let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
+            let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).cos()).collect();
             let mut y_serial = vec![0.0; n];
             a.matvec_into(&x, &mut y_serial);
+            let mut r_serial = vec![0.0; n];
+            a.residual_into(&b, &x, &mut r_serial);
             for &w in &pool_widths() {
                 let pool = WorkerPool::new(w);
                 let mut y_pool = vec![f64::NAN; n];
                 a.par_matvec_into_on(&pool, &x, &mut y_pool);
                 assert_eq!(y_serial, y_pool, "n={n} seed={seed} pool={w}");
+                for threads in 1..=w {
+                    let mut r_pool = vec![f64::NAN; n];
+                    LinearOperator::par_residual_into_on(&a, &pool, threads, &b, &x, &mut r_pool);
+                    assert_eq!(
+                        bits(&r_serial),
+                        bits(&r_pool),
+                        "residual: n={n} seed={seed} pool={w} threads={threads}"
+                    );
+                }
             }
         }
     }

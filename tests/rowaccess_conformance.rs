@@ -3,7 +3,8 @@
 //! agree **bitwise** on every trait surface the solvers touch —
 //! `visit_row`, `row_nnz`, `row_dot`, and `row_entry` — including the
 //! ragged, empty-row, and single-entry shapes the generators never emit
-//! but callers can.
+//! but callers can. The CSR override of `is_symmetric` must give the
+//! verdict of the trait's generic walk on every scenario and edge case.
 //!
 //! Bitwise (not approximate) agreement is what lets the session layer and
 //! the delay-model executors swap backends without changing a single
@@ -11,8 +12,10 @@
 
 mod common;
 
+use asyrgs::session::{operator_is_symmetric, SYMMETRY_TOL};
 use asyrgs::sparse::{
-    CooBuilder, CsrMatrix, RowAccess, RowMajorMat, SellMatrix, UnitDiagonal, UnitDiagonalView,
+    CooBuilder, CsrMatrix, LinearOperator, RowAccess, RowMajorMat, SellMatrix, UnitDiagonal,
+    UnitDiagonalView,
 };
 
 /// Deterministic dense probe vector with mixed signs and magnitudes.
@@ -193,5 +196,190 @@ fn scenario_backends_conform() {
         if let Some(dense) = built.dense() {
             assert_conformant(&built.a, &dense, sc.name);
         }
+    }
+}
+
+/// A CSR matrix behind only the required `RowAccess` method, so every
+/// provided method — `is_symmetric` included — runs the trait's generic
+/// default instead of the CSR override.
+struct GenericRows<'a>(&'a CsrMatrix);
+
+impl LinearOperator for GenericRows<'_> {
+    fn n_rows(&self) -> usize {
+        self.0.n_rows()
+    }
+
+    fn n_cols(&self) -> usize {
+        self.0.n_cols()
+    }
+
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        self.0.matvec_into(x, y)
+    }
+
+    fn diag(&self) -> Vec<f64> {
+        self.0.diag()
+    }
+}
+
+impl RowAccess for GenericRows<'_> {
+    fn visit_row<F: FnMut(usize, f64)>(&self, i: usize, f: F) {
+        RowAccess::visit_row(self.0, i, f)
+    }
+}
+
+/// The symmetry verdict on `a` at `tol`, after asserting that the CSR
+/// merge pass, the generic walk and the session's admission check (also
+/// through `&CsrMatrix`) all give it.
+fn symmetry_verdict(a: &CsrMatrix, tol: f64, label: &str) -> bool {
+    let merged = a.is_symmetric(tol);
+    assert_eq!(
+        merged,
+        GenericRows(a).is_symmetric(tol),
+        "{label}: CSR merge pass vs generic walk at tol {tol:e}"
+    );
+    assert_eq!(merged, operator_is_symmetric(a, tol), "{label}: session");
+    assert_eq!(
+        merged,
+        operator_is_symmetric(&a, tol),
+        "{label}: &CsrMatrix"
+    );
+    merged
+}
+
+#[test]
+fn symmetry_override_matches_generic_walk_on_every_scenario() {
+    let (mut symmetric, mut nonsymmetric) = (0, 0);
+    for sc in asyrgs::workloads::scenarios::all_scenarios() {
+        let built = sc.build();
+        for tol in [0.0, 1e-12, 1e-3] {
+            symmetry_verdict(&built.a, tol, sc.name);
+        }
+        if !built.a.is_square() {
+            continue;
+        }
+        if symmetry_verdict(&built.a, SYMMETRY_TOL, sc.name) {
+            symmetric += 1;
+            // A one-sided perturbation of a stored off-diagonal entry is
+            // caught by both.
+            let mut bumped = built.a.clone();
+            let k = (0..bumped.n_rows())
+                .flat_map(|i| (bumped.row_ptr()[i]..bumped.row_ptr()[i + 1]).map(move |k| (i, k)))
+                .find(|&(i, k)| bumped.col_idx()[k] != i)
+                .map(|(_, k)| k)
+                .expect("an off-diagonal entry");
+            bumped.values_mut()[k] += 1e-6;
+            assert!(!symmetry_verdict(&bumped, SYMMETRY_TOL, sc.name));
+        } else {
+            nonsymmetric += 1;
+        }
+    }
+    assert!(
+        symmetric > 0 && nonsymmetric > 0,
+        "{symmetric} / {nonsymmetric}"
+    );
+}
+
+/// `n_rows x n_cols` CSR from `(row, col, value)` triples in row-major order,
+/// stored as given (explicit zeros included).
+fn csr(n_rows: usize, n_cols: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut row_ptr = vec![0; n_rows + 1];
+    for &(i, _, _) in entries {
+        row_ptr[i + 1] += 1;
+    }
+    for i in 0..n_rows {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let col_idx = entries.iter().map(|e| e.1).collect();
+    let vals = entries.iter().map(|e| e.2).collect();
+    CsrMatrix::from_raw_parts(n_rows, n_cols, row_ptr, col_idx, vals).expect("valid CSR")
+}
+
+#[test]
+fn symmetry_override_matches_generic_walk_on_edge_cases() {
+    // A symmetric 5x5 pattern with paired entries (0,1)/(1,0) and
+    // (1,4)/(4,1), plus one unpaired entry `d` placed where each branch
+    // of the merge pass meets it: an upper entry the cursor skips on the
+    // way to a later partner (1,2), an upper entry left at the end
+    // (0,3), and a lower entry with no upper partner (3,2).
+    let d = 1e-9;
+    let with_unpaired = |at: (usize, usize)| {
+        let mut e = vec![
+            (0, 0, 4.0),
+            (0, 1, -1.0),
+            (1, 0, -1.0),
+            (1, 1, 4.0),
+            (1, 4, -0.5),
+            (2, 2, 4.0),
+            (3, 3, 4.0),
+            (4, 1, -0.5),
+            (4, 4, 4.0),
+            (at.0, at.1, d),
+        ];
+        e.sort_by_key(|&(i, j, _)| (i, j));
+        csr(5, 5, &e)
+    };
+    let below = f64::from_bits(d.to_bits() - 1);
+    for at in [(1, 2), (0, 3), (3, 2)] {
+        let a = with_unpaired(at);
+        let label = format!("unpaired {at:?}");
+        assert!(symmetry_verdict(&a, d, &label), "{label}: |d| <= tol");
+        assert!(!symmetry_verdict(&a, below, &label), "{label}: |d| > tol");
+    }
+    // Paired entries just inside and just outside the tolerance.
+    let a = csr(2, 2, &[(0, 0, 1.0), (0, 1, 0.5), (1, 0, 0.25), (1, 1, 1.0)]);
+    assert!(symmetry_verdict(&a, 0.25, "pair inside"));
+    assert!(!symmetry_verdict(
+        &a,
+        f64::from_bits(0.25f64.to_bits() - 1),
+        "pair outside"
+    ));
+
+    // Explicitly stored zeros: a stored zero partners a missing entry,
+    // and a stored zero against a nonzero is still a violation.
+    let a = csr(3, 3, &[(0, 0, 1.0), (0, 2, 0.0), (1, 1, 1.0), (2, 2, 1.0)]);
+    assert!(symmetry_verdict(&a, 0.0, "stored zero, unpaired"));
+    let a = csr(
+        3,
+        3,
+        &[
+            (0, 0, 1.0),
+            (0, 2, 1e-3),
+            (1, 1, 1.0),
+            (2, 0, 0.0),
+            (2, 2, 1.0),
+        ],
+    );
+    assert!(!symmetry_verdict(&a, 1e-4, "stored zero vs nonzero"));
+    assert!(symmetry_verdict(
+        &a,
+        1e-3,
+        "stored zero vs nonzero, wide tol"
+    ));
+
+    // Empty rows, symmetric around them and not.
+    let a = csr(4, 4, &[(0, 0, 2.0), (0, 3, 1.0), (3, 0, 1.0)]);
+    assert!(symmetry_verdict(&a, 0.0, "empty rows"));
+    let a = csr(4, 4, &[(0, 2, 1.0), (3, 3, 1.0)]);
+    assert!(!symmetry_verdict(&a, 0.5, "empty partner row"));
+    assert!(symmetry_verdict(
+        &CsrMatrix::from_dense(0, 0, &[]),
+        0.0,
+        "0x0"
+    ));
+
+    // 1x1, and rectangular (never symmetric, at any tolerance).
+    assert!(symmetry_verdict(&csr(1, 1, &[(0, 0, -7.25)]), 0.0, "1x1"));
+    let rect = CsrMatrix::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
+    assert!(!symmetry_verdict(&rect, f64::INFINITY, "2x3"));
+
+    // NaN is never a violation: against a stored partner, unpaired, and
+    // on the diagonal.
+    for e in [
+        vec![(0, 0, 1.0), (0, 1, f64::NAN), (1, 0, 1.0), (1, 1, 1.0)],
+        vec![(0, 0, 1.0), (1, 0, f64::NAN), (1, 1, 1.0)],
+        vec![(0, 0, f64::NAN), (1, 1, 1.0)],
+    ] {
+        assert!(symmetry_verdict(&csr(2, 2, &e), 0.0, "NaN entry"));
     }
 }
