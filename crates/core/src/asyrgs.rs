@@ -38,7 +38,7 @@ use crate::driver::{
 use crate::error::SolveError;
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::report::SolveReport;
-use crate::rgs::{Directions, RowSampling};
+use crate::rgs::{walk_rows, Directions, RowSampling};
 use crate::workspace::{resize_scratch, resize_scratch_mat, SolveWorkspace};
 use asyrgs_parallel::{FaultPlan, WorkerPool};
 use asyrgs_rng::DrawBuffer;
@@ -201,7 +201,10 @@ pub(crate) fn claim_batch(epoch_iters: u64, threads: usize) -> u64 {
 /// Iterations are claimed `claim` at a time (one counter RMW per batch,
 /// not per update) and their directions drawn with one batched fill —
 /// both bitwise-neutral: claimed ranges are consecutive and the draws are
-/// pure functions of the iteration index.
+/// pure functions of the iteration index. On a matrix too large for a
+/// core's private cache ([`RowAccess::prefetch_pays`]) the walk hints each
+/// batch's upcoming rows into cache ([`walk_rows`]), which is bitwise
+/// neutral too.
 #[allow(clippy::too_many_arguments)]
 fn worker<O: RowAccess>(
     a: &O,
@@ -219,6 +222,7 @@ fn worker<O: RowAccess>(
     max_delay: &AtomicU64,
 ) {
     let mut draws = DrawBuffer::new();
+    let prefetch = a.prefetch_pays();
     let mut local_max = 0u64;
     loop {
         let start = counter.fetch_add(claim, Ordering::Relaxed);
@@ -237,13 +241,13 @@ fn worker<O: RowAccess>(
             // inconsistent reads, atomic writes): no per-update dispatch,
             // just walk and CAS-add. Same expressions in the same order as
             // the general path below, so the iterates are bitwise equal.
-            for &r in dirs {
+            walk_rows(a, dirs, prefetch, |r| {
                 let dot = a.row_dot_with(r, |c| x.load(c));
                 let gamma = (b[r] - dot) * dinv[r];
                 x.fetch_add(r, beta * gamma);
-            }
+            });
         } else {
-            for &r in dirs {
+            walk_rows(a, dirs, prefetch, |r| {
                 // Read phase (Algorithm 1 line 5). Under LockedConsistent,
                 // hold a shared lock so no write interleaves: R ∩ M = ∅
                 // (Assumption A-2). The walk runs the backend's unrolled
@@ -262,7 +266,7 @@ fn worker<O: RowAccess>(
                         WriteMode::NonAtomic => x.cell(r).add_non_atomic(beta * gamma),
                     }
                 }
-            }
+            });
         }
         let c1 = commits.fetch_add(dirs.len() as u64, Ordering::Relaxed);
         local_max = local_max.max(c1.saturating_sub(c0));

@@ -19,14 +19,10 @@
 //! so no happens-before edges are needed for correctness of the data values,
 //! only the absence of torn reads/writes — which the atomic types guarantee.
 //!
-//! Two hot-path refinements, both value-preserving:
-//! * [`AtomicF64::fetch_add_hinted`] starts the CAS from a caller-supplied
-//!   guess of the current value, turning the uncontended update into a
-//!   single RMW with no initial load; every retry path spins with
-//!   [`std::hint::spin_loop`].
-//! * [`SharedVec`] stores its cells in 64-byte-aligned cache-line stripes,
-//!   so concurrent workers touching entries ≥ 8 apart never falsely share a
-//!   line (and the vector never shares one with a foreign allocation).
+//! One hot-path refinement, value-preserving: [`SharedVec`] stores its
+//! cells in 64-byte-aligned cache-line stripes, so concurrent workers
+//! touching entries ≥ 8 apart never falsely share a line (and the vector
+//! never shares one with a foreign allocation).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,43 +74,6 @@ impl AtomicF64 {
                     cur = actual;
                 }
             }
-        }
-    }
-
-    /// Atomic `self += delta` seeded with a caller-supplied guess of the
-    /// current value; returns the previous value.
-    ///
-    /// When the caller already holds the latest value — an AsyRGS worker
-    /// read `x[r]` moments ago while walking row `r`, and single-threaded
-    /// (or uncontended) nothing has changed since — the first
-    /// compare-and-exchange succeeds with **no initial load**: the update
-    /// is a single store-side RMW. A wrong (stale) hint costs one failed
-    /// CAS and then degrades to the ordinary [`fetch_add`](Self::fetch_add)
-    /// loop, so the result is identical regardless of hint quality.
-    #[inline]
-    pub fn fetch_add_hinted(&self, hint: f64, delta: f64) -> f64 {
-        match self.bits.compare_exchange_weak(
-            hint.to_bits(),
-            (hint + delta).to_bits(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => hint,
-            Err(mut cur) => loop {
-                let new = (f64::from_bits(cur) + delta).to_bits();
-                match self.bits.compare_exchange_weak(
-                    cur,
-                    new,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return f64::from_bits(cur),
-                    Err(actual) => {
-                        std::hint::spin_loop();
-                        cur = actual;
-                    }
-                }
-            },
         }
     }
 
@@ -314,46 +273,6 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..per_thread {
                         a.fetch_add(1.0);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(a.load(), (threads * per_thread) as f64);
-    }
-
-    #[test]
-    fn fetch_add_hinted_with_correct_hint() {
-        let a = AtomicF64::new(2.5);
-        let prev = a.fetch_add_hinted(2.5, 1.0);
-        assert_eq!(prev, 2.5);
-        assert_eq!(a.load(), 3.5);
-    }
-
-    #[test]
-    fn fetch_add_hinted_with_stale_hint_still_adds() {
-        let a = AtomicF64::new(10.0);
-        // Wrong guess: the fast path fails and the fallback loop must add
-        // to the *actual* value, returning it.
-        let prev = a.fetch_add_hinted(-3.0, 4.0);
-        assert_eq!(prev, 10.0);
-        assert_eq!(a.load(), 14.0);
-    }
-
-    #[test]
-    fn concurrent_hinted_adds_lose_nothing() {
-        let a = Arc::new(AtomicF64::new(0.0));
-        let threads = 8;
-        let per_thread = 10_000;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let a = Arc::clone(&a);
-                std::thread::spawn(move || {
-                    let mut guess = 0.0;
-                    for _ in 0..per_thread {
-                        guess = a.fetch_add_hinted(guess, 1.0) + 1.0;
                     }
                 })
             })

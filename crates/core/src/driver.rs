@@ -1306,7 +1306,7 @@ mod tests {
         // The deprecated `check_*` shims panic with exactly this Display
         // text; pinning it here keeps the wrappers' messages stable
         // without calling a deprecated entry point outside
-        // `examples/fingerprint.rs`.
+        // `tests/fingerprints.rs`.
         ensure_beta(2.0).unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -26,7 +26,7 @@ use crate::error::SolveError;
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::report::SolveReport;
 use crate::workspace::{resize_scratch, resize_scratch_mat, SolveWorkspace};
-use asyrgs_rng::{DirectionStream, WeightedDirectionStream};
+use asyrgs_rng::{DirectionStream, DrawBuffer, WeightedDirectionStream};
 use asyrgs_sparse::dense::{self, RowMajorMat};
 use asyrgs_sparse::{CsrMatrix, RowAccess};
 
@@ -78,6 +78,43 @@ impl Directions {
         match self {
             Directions::Uniform(s) => s.fill_directions(start, out),
             Directions::Weighted(s) => s.fill_directions(start, out),
+        }
+    }
+}
+
+/// How many draws ahead of the current update [`walk_rows`] hints a row.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Apply `update` to the drawn rows `dirs` in order — the row walk of the
+/// AsyRGS worker and of sequential RGS.
+///
+/// With `prefetch` (the caller passes the operator's
+/// [`RowAccess::prefetch_pays`]), it first hints the batch's first
+/// [`PREFETCH_AHEAD`] rows into cache, then hints row `dirs[k + 8]` just
+/// before it updates `dirs[k]`, so the cache misses of upcoming rows
+/// overlap the current update. Without it, it is the plain loop. A hint
+/// reads no value and writes none, so both branches apply the same updates
+/// in the same order and produce the same bits.
+#[inline(always)]
+pub(crate) fn walk_rows<O: RowAccess, F: FnMut(usize)>(
+    a: &O,
+    dirs: &[usize],
+    prefetch: bool,
+    mut update: F,
+) {
+    if prefetch {
+        for &r in dirs.iter().take(PREFETCH_AHEAD) {
+            a.prefetch_row(r);
+        }
+        for (k, &r) in dirs.iter().enumerate() {
+            if let Some(&ahead) = dirs.get(k + PREFETCH_AHEAD) {
+                a.prefetch_row(ahead);
+            }
+            update(r);
+        }
+    } else {
+        for &r in dirs {
+            update(r);
         }
     }
 }
@@ -165,8 +202,16 @@ pub fn rgs_solve_in<O: RowAccess>(
         resize_scratch(&mut ws.snap, n);
         ws.snap.copy_from_slice(x);
     }
+    // Out-of-cache matrices draw a batch of directions ahead and walk it
+    // with prefetch; the draws are counter-based, so the direction
+    // sequence is the per-iteration one.
+    let prefetch = a.prefetch_pays();
+    if prefetch {
+        ws.draws.resize(DrawBuffer::DEFAULT_CAPACITY, 0);
+    }
     let resid = &mut ws.resid;
     let diff = &mut ws.diff;
+    let draws = &mut ws.draws;
 
     {
         // With a watchdog armed, iterate on workspace scratch so a trip
@@ -177,11 +222,25 @@ pub fn rgs_solve_in<O: RowAccess>(
             &mut *x
         };
         for sweep in 1..=driver.max_sweeps() {
-            for _ in 0..n {
-                let r = ds.direction(j);
-                j += 1;
-                let gamma = (b[r] - a.row_dot(r, xw)) * dinv[r];
-                xw[r] += opts.beta * gamma;
+            if prefetch {
+                let end = j + n as u64;
+                while j < end {
+                    let batch = draws.len().min((end - j) as usize);
+                    let dirs = &mut draws[..batch];
+                    ds.fill_directions(j, dirs);
+                    j += batch as u64;
+                    walk_rows(a, dirs, true, |r| {
+                        let gamma = (b[r] - a.row_dot(r, xw)) * dinv[r];
+                        xw[r] += opts.beta * gamma;
+                    });
+                }
+            } else {
+                for _ in 0..n {
+                    let r = ds.direction(j);
+                    j += 1;
+                    let gamma = (b[r] - a.row_dot(r, xw)) * dinv[r];
+                    xw[r] += opts.beta * gamma;
+                }
             }
             let stop = if let Some(mon) = monitor.as_mut() {
                 // Every sweep boundary is a quiescent point: run the

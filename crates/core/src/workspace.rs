@@ -76,6 +76,9 @@ pub struct SolveWorkspace {
     pub flex_basis: Vec<Vec<f64>>,
     /// Per-RHS coefficient scratch for block solves.
     pub gammas: Vec<f64>,
+    /// Direction-draw batch of sequential RGS on matrices that
+    /// [`prefetch_pays`](asyrgs_sparse::RowAccess::prefetch_pays).
+    pub draws: Vec<usize>,
     /// The shared atomic iterate of the asynchronous solvers.
     pub shared: SharedVec,
     /// Last iterate snapshot that passed a health check — the restart
@@ -137,6 +140,7 @@ impl SolveWorkspace {
             basis: Vec::new(),
             flex_basis: Vec::new(),
             gammas: Vec::new(),
+            draws: Vec::new(),
             shared: SharedVec::zeros(0),
             healthy: Vec::new(),
             blk_snap: RowMajorMat::zeros(0, 0),

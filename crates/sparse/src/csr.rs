@@ -16,6 +16,22 @@ use crate::error::{Result, SparseError};
 /// changes a result bitwise.
 pub const WIDE_KERNEL_CUTOFF: usize = 8;
 
+/// Size cutoff for software prefetch of upcoming rows: a matrix whose
+/// stored entries (`nnz × (size_of::<usize>() + 8)` bytes of column
+/// indices and values) reach 4 MiB reports
+/// [`prefetch_pays`](CsrMatrix::prefetch_pays), and the randomized
+/// Gauss-Seidel walks then hint each drawn row into L1 a few updates ahead.
+///
+/// Measured per update (AsyRGS at 1 and 2 threads, sequential RGS) on a
+/// 2-vCPU Xeon with a 2 MiB private L2, hinted and plain walks alternating
+/// in one process: the hint loses at 1 MB and below (up to +19% at
+/// 0.1–1 MB), is about even at 2 MB (+3% to −25% across runs), wins
+/// 6–21% at 4 MB and cuts 24–44% at 8–66 MB. The cutoff sits 2x above
+/// the largest private L2 measured, so matrices near the crossover keep
+/// the plain walk. A hint never changes a value, so the choice never
+/// changes a result bitwise.
+pub const PREFETCH_MIN_BYTES: usize = 4 << 20;
+
 /// Rows per claimed chunk in the pooled row-wise kernels
 /// ([`CsrMatrix::par_matvec_into_on`], [`CsrMatrix::par_residual_into_on`]).
 const PAR_ROW_GRAIN: usize = 1024;
@@ -188,6 +204,27 @@ impl CsrMatrix {
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.vals
+    }
+
+    /// Whether the stored entries reach [`PREFETCH_MIN_BYTES`], i.e. a
+    /// randomly drawn row is usually not in a core's private cache, so
+    /// hinting upcoming rows with [`prefetch_row`](Self::prefetch_row)
+    /// pays for itself.
+    #[inline]
+    pub fn prefetch_pays(&self) -> bool {
+        self.nnz() * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
+            >= PREFETCH_MIN_BYTES
+    }
+
+    /// Hint row `i`'s column indices and values into L1: one
+    /// `_mm_prefetch(_MM_HINT_T0)` per 64-byte line of each slice on
+    /// x86_64, nothing on other targets. A hint reads no value the caller
+    /// sees and writes none, so no result depends on it.
+    #[inline]
+    pub fn prefetch_row(&self, i: usize) {
+        let (cols, vals) = self.row(i);
+        prefetch_lines(cols);
+        prefetch_lines(vals);
     }
 
     /// Entry `(i, j)`, or `0.0` if not stored. Binary search within the row.
@@ -689,6 +726,30 @@ impl CsrMatrix {
     }
 }
 
+/// Prefetch every cache line `s` spans into L1 (x86_64; a no-op elsewhere).
+#[inline(always)]
+fn prefetch_lines<T>(s: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const CACHE_LINE: usize = 64;
+        if s.is_empty() {
+            return;
+        }
+        let start = s.as_ptr() as usize;
+        let end = start + std::mem::size_of_val(s);
+        let mut line = start & !(CACHE_LINE - 1);
+        while line < end {
+            // SAFETY: a prefetch is a hint: it never faults and has no
+            // architectural effect. Every line hinted overlaps `s`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line as *const i8) };
+            line += CACHE_LINE;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = s;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,6 +849,35 @@ mod tests {
     fn symmetry_check_rejects_rectangular() {
         let m = CsrMatrix::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
         assert!(!m.is_symmetric(f64::INFINITY));
+    }
+
+    #[test]
+    fn prefetch_pays_from_the_byte_cutoff_on() {
+        let per_entry = std::mem::size_of::<usize>() + std::mem::size_of::<f64>();
+        let at = PREFETCH_MIN_BYTES.div_ceil(per_entry);
+        assert!(!CsrMatrix::identity(at - 1).prefetch_pays());
+        assert!(CsrMatrix::identity(at).prefetch_pays());
+        assert!(!small().prefetch_pays());
+    }
+
+    #[test]
+    fn prefetch_row_handles_empty_last_and_multi_line_rows() {
+        // Row 0 holds 20 entries (160 bytes per slice, at least three
+        // cache lines each), row 1 is empty, row 2 is the last row.
+        let cols = 20;
+        let mut d = vec![0.0; 3 * cols];
+        for (j, v) in d[..cols].iter_mut().enumerate() {
+            *v = 1.0 + j as f64;
+        }
+        d[2 * cols + cols - 1] = 5.0;
+        let m = CsrMatrix::from_dense(3, cols, &d);
+        assert_eq!((m.row_nnz(0), m.row_nnz(1), m.row_nnz(2)), (20, 0, 1));
+        let before = m.clone();
+        for i in 0..3 {
+            m.prefetch_row(i);
+            crate::RowAccess::prefetch_row(&&m, i);
+        }
+        assert_eq!(m, before);
     }
 
     #[test]

@@ -210,6 +210,26 @@ pub trait RowAccess: LinearOperator {
         }
         true
     }
+
+    /// Whether hinting upcoming rows into cache with
+    /// [`prefetch_row`](Self::prefetch_row) pays for itself on this
+    /// operator: true when its stored entries are too large for a core's
+    /// private cache, so a randomly drawn row is usually a cache miss. The
+    /// randomized Gauss-Seidel walks ask once per solve (or epoch) and
+    /// only then issue hints. The default is `false`; [`CsrMatrix`]
+    /// overrides it with [`CsrMatrix::prefetch_pays`], gated on
+    /// [`PREFETCH_MIN_BYTES`](crate::csr::PREFETCH_MIN_BYTES).
+    fn prefetch_pays(&self) -> bool {
+        false
+    }
+
+    /// Hint that row `i` will be walked soon, so its stored entries can be
+    /// fetched into cache while other work runs. A hint only: it reads no
+    /// value the caller sees and writes none, so no result depends on
+    /// whether or when it is issued. The default does nothing;
+    /// [`CsrMatrix`] overrides it with [`CsrMatrix::prefetch_row`].
+    #[inline]
+    fn prefetch_row(&self, _i: usize) {}
 }
 
 impl LinearOperator for CsrMatrix {
@@ -273,6 +293,15 @@ impl RowAccess for CsrMatrix {
 
     fn is_symmetric(&self, tol: f64) -> bool {
         CsrMatrix::is_symmetric(self, tol)
+    }
+
+    fn prefetch_pays(&self) -> bool {
+        CsrMatrix::prefetch_pays(self)
+    }
+
+    #[inline]
+    fn prefetch_row(&self, i: usize) {
+        CsrMatrix::prefetch_row(self, i)
     }
 }
 
@@ -365,6 +394,15 @@ impl<T: RowAccess> RowAccess for &T {
 
     fn is_symmetric(&self, tol: f64) -> bool {
         (**self).is_symmetric(tol)
+    }
+
+    fn prefetch_pays(&self) -> bool {
+        (**self).prefetch_pays()
+    }
+
+    #[inline]
+    fn prefetch_row(&self, i: usize) {
+        (**self).prefetch_row(i)
     }
 }
 

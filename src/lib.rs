@@ -153,7 +153,7 @@ mod facade_tests {
     #[test]
     fn fallible_entry_points_reachable_through_prelude() {
         // The prelude exposes only the fallible API; the deprecated
-        // wrappers live on in their modules for `examples/fingerprint.rs`.
+        // wrappers live on in their modules for `tests/fingerprints.rs`.
         let a = crate::workloads::laplace2d(4, 4);
         let b = vec![1.0; 16];
         let mut x = vec![0.0; 16];

@@ -4,11 +4,13 @@
 
 mod common;
 
+use asyrgs::core::asyrgs::ReadMode;
+use asyrgs::parallel::WorkerPool;
 use asyrgs::prelude::*;
 use asyrgs::rng::{DirectionStream, Philox4x32};
 use asyrgs::sim::{simulate_asyrgs, simulate_delay, DelaySimOptions, MachineModel};
 use asyrgs::sparse::UnitDiagonal;
-use asyrgs::workloads::laplace2d;
+use asyrgs::workloads::{diag_dominant, laplace2d};
 
 #[test]
 fn direction_set_identical_across_consumers() {
@@ -165,4 +167,163 @@ fn workload_generators_stable_across_calls() {
     let a = gram_matrix(&p).matrix;
     let b = gram_matrix(&p).matrix;
     assert_eq!(a, b);
+}
+
+/// A CSR matrix that delegates every operator and row method but keeps the
+/// default `prefetch_pays() == false`: the same solves, walked without
+/// prefetch hints.
+struct PlainWalk<'a>(&'a CsrMatrix);
+
+impl LinearOperator for PlainWalk<'_> {
+    fn n_rows(&self) -> usize {
+        self.0.n_rows()
+    }
+
+    fn n_cols(&self) -> usize {
+        self.0.n_cols()
+    }
+
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        self.0.matvec_into(x, y)
+    }
+
+    fn diag(&self) -> Vec<f64> {
+        self.0.diag()
+    }
+
+    fn diag_into(&self, out: &mut Vec<f64>) {
+        LinearOperator::diag_into(self.0, out)
+    }
+
+    fn par_residual_into_on(
+        &self,
+        pool: &WorkerPool,
+        threads: usize,
+        b: &[f64],
+        x: &[f64],
+        r: &mut [f64],
+    ) {
+        self.0.par_residual_into_on(pool, threads, b, x, r)
+    }
+}
+
+impl RowAccess for PlainWalk<'_> {
+    fn visit_row<F: FnMut(usize, f64)>(&self, i: usize, f: F) {
+        RowAccess::visit_row(self.0, i, f)
+    }
+
+    fn row_nnz(&self, i: usize) -> usize {
+        self.0.row_nnz(i)
+    }
+
+    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        self.0.row_dot(i, x)
+    }
+
+    fn row_dot_with<L: FnMut(usize) -> f64>(&self, i: usize, load: L) -> f64 {
+        self.0.row_dot_with(i, load)
+    }
+
+    fn row_entry(&self, i: usize, j: usize) -> f64 {
+        self.0.get(i, j)
+    }
+
+    fn is_symmetric(&self, tol: f64) -> bool {
+        self.0.is_symmetric(tol)
+    }
+}
+
+/// Assert two solves returned the same iterate and records, bit for bit.
+fn assert_same_bits(
+    what: &str,
+    (x1, r1): (Vec<f64>, SolveReport),
+    (x2, r2): (Vec<f64>, SolveReport),
+) {
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(bits(&x1) == bits(&x2), "{what}: iterates differ");
+    assert_eq!(r1.records, r2.records, "{what}: records differ");
+    assert_eq!(
+        r1.iterations, r2.iterations,
+        "{what}: iteration counts differ"
+    );
+    assert_eq!(
+        r1.final_rel_residual.to_bits(),
+        r2.final_rel_residual.to_bits(),
+        "{what}: final residuals differ"
+    );
+}
+
+#[test]
+fn prefetch_walk_is_bitwise_the_plain_walk() {
+    // The smallest diag_dominant(., 16, 2.0, .) past PREFETCH_MIN_BYTES:
+    // n = 2^14 stores 8.1 MB of entries, n = 2^13 only 4.06 MB.
+    let a = diag_dominant(1 << 14, 16, 2.0, common::TEST_SEED);
+    assert!(a.prefetch_pays(), "the matrix must take the prefetch walk");
+    let plain = PlainWalk(&a);
+    assert!(!plain.prefetch_pays());
+    let n = a.n_rows();
+    let x_star = common::planted_x(n);
+    let b = a.matvec(&x_star);
+    // A residual target keeps AsyRGS epochs at one sweep, so it records
+    // at the same points as RGS; 3 sweeps never reach it.
+    let term = Termination::sweeps(3).with_target(1e-30);
+
+    fn rgs<O: RowAccess>(
+        a: &O,
+        b: &[f64],
+        xs: &[f64],
+        opts: &RgsOptions,
+    ) -> (Vec<f64>, SolveReport) {
+        let mut x = vec![0.0; b.len()];
+        let rep = try_rgs_solve(a, b, &mut x, Some(xs), opts).expect("rgs solve");
+        (x, rep)
+    }
+    fn asy<O: RowAccess + Sync>(
+        a: &O,
+        b: &[f64],
+        xs: &[f64],
+        opts: &AsyRgsOptions,
+    ) -> (Vec<f64>, SolveReport) {
+        let mut x = vec![0.0; b.len()];
+        let rep = try_asyrgs_solve(a, b, &mut x, Some(xs), opts).expect("asyrgs solve");
+        (x, rep)
+    }
+
+    let seq = RgsOptions {
+        term: term.clone(),
+        ..Default::default()
+    };
+    let guarded = RgsOptions {
+        health: Some(HealthConfig::default()),
+        ..seq.clone()
+    };
+    let t1 = AsyRgsOptions {
+        threads: 1,
+        term: term.clone(),
+        ..Default::default()
+    };
+    let locked = AsyRgsOptions {
+        read_mode: ReadMode::LockedConsistent,
+        ..t1.clone()
+    };
+
+    let rgs_hinted = rgs(&a, &b, &x_star, &seq);
+    assert_same_bits("rgs", rgs_hinted.clone(), rgs(&plain, &b, &x_star, &seq));
+    assert_same_bits(
+        "rgs with a watchdog",
+        rgs(&a, &b, &x_star, &guarded),
+        rgs(&plain, &b, &x_star, &guarded),
+    );
+    let asy_hinted = asy(&a, &b, &x_star, &t1);
+    assert_same_bits(
+        "asyrgs t1",
+        asy_hinted.clone(),
+        asy(&plain, &b, &x_star, &t1),
+    );
+    assert_same_bits(
+        "asyrgs t1 locked",
+        asy(&a, &b, &x_star, &locked),
+        asy(&plain, &b, &x_star, &locked),
+    );
+    assert_same_bits("asyrgs t1 vs rgs", asy_hinted, rgs_hinted);
 }

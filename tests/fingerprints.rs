@@ -1,12 +1,23 @@
-//! Print bitwise fingerprints of every deterministic (single-thread)
-//! fixed-seed solver path, for verifying that refactors of the parallel
-//! runtime and hot kernels leave solver output bit-identical.
+//! Bitwise fingerprints of every deterministic (single-worker) fixed-seed
+//! solver path, asserted against the table below. Refactors of the
+//! parallel runtime and the hot kernels must leave all 15 bit-identical.
 //!
 //! Deliberately exercises the **deprecated** free-function wrappers: their
 //! outputs must stay bitwise identical to the pre-session-API seed, which
 //! also pins the wrappers themselves to the fallible implementations.
 //!
-//! Run: `cargo run --release --example fingerprint`
+//! Every matrix here has at most 150 unknowns, far below
+//! `PREFETCH_MIN_BYTES`, so these pin the plain (no prefetch) side of the
+//! update walks; `tests/determinism.rs` pins the prefetch side.
+//!
+//! Platform dependence: thirteen hashes use only IEEE-754 basic operations
+//! (`+ - * /` and `sqrt`, all correctly rounded) and hold on every target.
+//! The two least-squares hashes (`rcd`, `async_rcd_t1`) also depend on the
+//! platform's libm: `random_lsq` draws Box-Muller normals through `f64::ln`
+//! and `f64::cos`, which are not required to be correctly rounded. The
+//! table was recorded against glibc on x86_64 Linux; a libm that rounds
+//! one of those calls differently changes those two hashes and nothing
+//! else.
 #![allow(deprecated)]
 
 use asyrgs::core::asyrgs::{asyrgs_solve, asyrgs_solve_block};
@@ -18,6 +29,25 @@ use asyrgs::krylov::cg::cg_solve;
 use asyrgs::krylov::fcg::fcg_solve;
 use asyrgs::prelude::*;
 use asyrgs::workloads::{diag_dominant, laplace2d, random_lsq, LsqParams};
+
+/// The committed fingerprints, in the order [`fingerprints`] computes them.
+const EXPECTED: [(&str, u64); 15] = [
+    ("rgs", 0xed19_f5f2_44d1_5c88),
+    ("rgs_weighted", 0x10ec_0048_2c7d_9dcb),
+    ("asyrgs_t1", 0xed19_f5f2_44d1_5c88),
+    ("asyrgs_t1_epoch2", 0xed19_f5f2_44d1_5c88),
+    ("asyrgs_t1_locked", 0xed19_f5f2_44d1_5c88),
+    ("asyrgs_t1_target", 0x92ea_054a_2558_558f),
+    ("asyrgs_block_t1", 0x3b32_3c6c_3c51_decc),
+    ("rgs_block", 0x7112_c772_8483_e83e),
+    ("jacobi", 0x5b82_4d14_fbaf_f45c),
+    ("async_jacobi_t1", 0x6dc6_ebe2_9652_05c7),
+    ("partitioned_t1", 0xd702_0db1_ec75_1b2a),
+    ("rcd", 0x93c0_e7d5_f76f_acc8),
+    ("async_rcd_t1", 0x2f9e_6914_cbd3_4dc4),
+    ("cg", 0x3cf1_f5e2_421b_7e6a),
+    ("fcg", 0x70bc_84e0_017c_04d8),
+];
 
 fn hash(xs: &[f64]) -> u64 {
     // FNV-style xor/multiply over the raw bit patterns: any single-ulp
@@ -32,7 +62,9 @@ fn hash(xs: &[f64]) -> u64 {
     h
 }
 
-fn main() {
+/// Run the 15 pinned solves, in order, and hash each final iterate.
+fn fingerprints() -> Vec<(&'static str, u64)> {
+    let mut out = Vec::new();
     let a = laplace2d(12, 12);
     let n = a.n_rows();
     let x_star: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64 / 17.0).collect();
@@ -52,7 +84,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("rgs                      {:016x}", hash(&x));
+        out.push(("rgs", hash(&x)));
     }
     {
         let mut x = vec![0.0; n];
@@ -67,7 +99,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("rgs_weighted             {:016x}", hash(&x));
+        out.push(("rgs_weighted", hash(&x)));
     }
     {
         let mut x = vec![0.0; n];
@@ -82,7 +114,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("asyrgs_t1                {:016x}", hash(&x));
+        out.push(("asyrgs_t1", hash(&x)));
     }
     {
         let mut x = vec![0.0; n];
@@ -98,7 +130,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("asyrgs_t1_epoch2         {:016x}", hash(&x));
+        out.push(("asyrgs_t1_epoch2", hash(&x)));
     }
     {
         let mut x = vec![0.0; n];
@@ -114,7 +146,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("asyrgs_t1_locked         {:016x}", hash(&x));
+        out.push(("asyrgs_t1_locked", hash(&x)));
     }
     {
         let mut x = vec![0.0; 150];
@@ -129,7 +161,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("asyrgs_t1_target         {:016x}", hash(&x));
+        out.push(("asyrgs_t1_target", hash(&x)));
     }
     {
         let k = 2;
@@ -147,7 +179,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("asyrgs_block_t1          {:016x}", hash(x_blk.as_slice()));
+        out.push(("asyrgs_block_t1", hash(x_blk.as_slice())));
     }
     {
         let k = 3;
@@ -166,7 +198,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("rgs_block                {:016x}", hash(x_blk.as_slice()));
+        out.push(("rgs_block", hash(x_blk.as_slice())));
     }
     {
         let mut x = vec![0.0; n];
@@ -179,7 +211,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("jacobi                   {:016x}", hash(&x));
+        out.push(("jacobi", hash(&x)));
     }
     {
         let mut x = vec![0.0; n];
@@ -193,7 +225,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("async_jacobi_t1          {:016x}", hash(&x));
+        out.push(("async_jacobi_t1", hash(&x)));
     }
     {
         let mut x = vec![0.0; n];
@@ -207,7 +239,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("partitioned_t1           {:016x}", hash(&x));
+        out.push(("partitioned_t1", hash(&x)));
     }
     {
         let p = random_lsq(&LsqParams {
@@ -226,10 +258,10 @@ fn main() {
         };
         let mut x_seq = vec![0.0; op.n_cols()];
         rcd_solve(&op, &p.b, &mut x_seq, &opts);
-        println!("rcd                      {:016x}", hash(&x_seq));
+        out.push(("rcd", hash(&x_seq)));
         let mut x_async = vec![0.0; op.n_cols()];
         async_rcd_solve(&op, &p.b, &mut x_async, &opts);
-        println!("async_rcd_t1             {:016x}", hash(&x_async));
+        out.push(("async_rcd_t1", hash(&x_async)));
     }
     {
         let mut x = vec![0.0; n];
@@ -242,7 +274,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("cg                       {:016x}", hash(&x));
+        out.push(("cg", hash(&x)));
     }
     {
         let mut x = vec![0.0; n];
@@ -256,6 +288,23 @@ fn main() {
                 ..Default::default()
             },
         );
-        println!("fcg                      {:016x}", hash(&x));
+        out.push(("fcg", hash(&x)));
+    }
+    out
+}
+
+#[test]
+fn fifteen_fingerprints_are_bitwise_unchanged() {
+    let got = fingerprints();
+    if got != EXPECTED {
+        let mut table = String::from("path                 expected          got\n");
+        for (&(name, want), &(_, have)) in EXPECTED.iter().zip(&got) {
+            let mark = if have == want { "" } else { "  <- differs" };
+            table.push_str(&format!("{name:<20} {want:016x}  {have:016x}{mark}\n"));
+        }
+        panic!(
+            "solver fingerprints moved; rcd and async_rcd_t1 also depend on \
+             the platform's libm (see the module docs):\n{table}"
+        );
     }
 }
