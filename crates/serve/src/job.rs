@@ -92,6 +92,10 @@ impl SolveJob {
     /// policy's decision — cached per content fingerprint, so repeat
     /// submissions of the same matrix skip the spectral probe — and runs
     /// under the prescribed family, preconditioner, and thread count.
+    /// A probe runs on the thread calling `Scheduler::submit`, with the
+    /// registry unlocked; two first submissions of one matrix racing each
+    /// other may both probe (both are counted), and the first decision
+    /// stored is the one cached.
     /// Inspect the pick without submitting via
     /// `Scheduler::policy_preview`, and the probe/cache economics via
     /// `RegistryStats::{policy_probes, policy_hits}`.

@@ -38,15 +38,17 @@
 //!   [`MatrixUpdate`]) — admission content-addresses every submitted CSR,
 //!   dedups bitwise-identical matrices across tenants onto one canonical
 //!   `Arc` (which is what lets job coalescing merge same-matrix/same-config
-//!   jobs *across* tenants), caches per-matrix artifacts (inverse diagonal,
-//!   row-norm alias table, spectral probe) under an LRU byte budget, and
-//!   stores per-tenant warm-start solutions
-//!   ([`SolveJob::with_warm_start`]).
+//!   jobs *across* tenants), keeps those matrices and their lazily resolved
+//!   solver-policy decisions under an LRU byte budget, and stores
+//!   per-tenant warm-start solutions ([`SolveJob::with_warm_start`]).
+//!   Admission hashes the matrix and runs any policy probe outside the
+//!   registry lock.
 //!
 //! A job without an explicit family — [`SolveJob::auto`] — is routed by
 //! the **solver policy** (`asyrgs::policy`, decision function in
 //! `asyrgs_core::policy`): admission profiles the matrix, runs a
-//! fixed-seed spectral probe, and configures the job from the resulting
+//! fixed-seed spectral probe on the submitting thread, and configures the
+//! job from the resulting
 //! [`PolicyDecision`](asyrgs_core::policy::PolicyDecision). The registry
 //! caches the finished decision per content fingerprint, so repeat
 //! tenants of the same matrix skip the probe
@@ -102,7 +104,5 @@ mod scheduler;
 
 pub use job::{JobHandle, JobOutcome, JobStats, SolveJob, TenantId};
 pub use mpmc::MpmcQueue;
-pub use registry::{
-    MatrixArtifacts, MatrixFingerprint, MatrixUpdate, RegistryStats, SpectralProbe, UpdateError,
-};
+pub use registry::{MatrixArtifacts, MatrixFingerprint, MatrixUpdate, RegistryStats, UpdateError};
 pub use scheduler::{ScheduledSession, Scheduler, SchedulerConfig, SchedulerStats, SubmitError};

@@ -1,5 +1,5 @@
 //! Content-addressed matrix registry: fingerprinting, cross-tenant
-//! dedup, cached per-matrix artifacts, and warm-start storage.
+//! dedup, the cached solver-policy decision, and warm-start storage.
 //!
 //! Admission fingerprints every submitted CSR over its *content* —
 //! dimensions, sparsity pattern, and the exact bit patterns of its values
@@ -9,13 +9,13 @@
 //! compares matrices by `Arc::ptr_eq`, and after dedup every hit shares
 //! the first submitter's allocation.
 //!
-//! Each registry entry also caches the expensive per-matrix artifacts —
-//! the inverse diagonal, a row-norm alias table for weighted index
-//! sampling, and spectral probes (a power-iteration `lambda_max`
-//! estimate) — computed once on first admission and reused by every
-//! subsequent job against the same fingerprint. Entries are evicted in
-//! LRU order under a byte budget, but never while a job that admitted
-//! through them is still in flight.
+//! Each registry entry holds that canonical matrix plus the solver-policy
+//! decision, resolved lazily by the first `auto` job or preview against
+//! the fingerprint and reused by every later one. The caller computes
+//! the fingerprint and runs the policy probe without holding the
+//! registry's lock, then hands in the results (`admit`, `store_policy`).
+//! Entries are evicted in LRU order under a byte budget, but never while
+//! a job that admitted through them is still in flight.
 //!
 //! Warm-start state lives here too: per `(fingerprint, tenant)` the
 //! registry remembers the tenant's last *successful* solution, so a
@@ -25,24 +25,10 @@
 //! resubmission after a watchdog trip falls back to the caller's x0.
 
 use crate::job::TenantId;
-use asyrgs_core::error::SolveError;
 use asyrgs_core::policy::PolicyDecision;
-use asyrgs_rng::AliasTable;
 use asyrgs_sparse::{CooBuilder, CsrMatrix, RowAccess};
-use asyrgs_spectral::lambda_max;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Iteration budget for the admission-time power-iteration probe. Small
-/// on purpose: the probe is an artifact (a cheap spectral estimate jobs
-/// and policy code can read), not a converged eigensolve.
-const PROBE_ITERS: usize = 48;
-/// Relative-change tolerance for the admission-time spectral probe.
-const PROBE_TOL: f64 = 1e-6;
-/// Fixed seed for the probe's start vector: probes are part of the
-/// content-addressed artifact set, so they must be a pure function of the
-/// matrix.
-const PROBE_SEED: u64 = 0x5EED_5EED;
 
 /// 128-bit content address of a CSR matrix: a hash over the dimensions,
 /// the sparsity pattern (`row_ptr`, `col_idx`), and the bit patterns of
@@ -134,35 +120,14 @@ fn bitwise_equal(a: &CsrMatrix, b: &CsrMatrix) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// A cheap spectral estimate cached per matrix at first admission.
-#[derive(Debug, Clone, Copy)]
-pub struct SpectralProbe {
-    /// Power-iteration estimate of the largest eigenvalue (Rayleigh
-    /// quotient after at most a fixed small iteration budget).
-    pub lambda_max: f64,
-    /// Iterations the probe actually ran.
-    pub iterations: usize,
-    /// Relative change of the estimate at the probe's last iteration —
-    /// a convergence indicator, not a guarantee.
-    pub last_change: f64,
-}
-
-/// The cached per-matrix artifact set, shared by every job admitted
-/// against the same fingerprint.
+/// What the registry holds per fingerprint, shared by every job admitted
+/// against it.
 #[derive(Debug, Clone)]
 pub struct MatrixArtifacts {
     /// The canonical matrix allocation. Every deduped job's `SolveJob::a`
     /// is swapped to this `Arc`, which is what makes cross-tenant
     /// coalescing fire (the batch gate compares by pointer identity).
     pub a: Arc<CsrMatrix>,
-    /// `1 / a_ii` per row — `None` when the matrix is not square or some
-    /// diagonal entry is exactly zero.
-    pub inv_diag: Option<Arc<Vec<f64>>>,
-    /// Alias table over squared row norms, for weighted row sampling.
-    /// `None` when every row is empty.
-    pub alias: Option<Arc<AliasTable>>,
-    /// Power-iteration spectral probe — `None` for non-square matrices.
-    pub probe: Option<SpectralProbe>,
     /// The solver-policy decision for this matrix, resolved lazily by the
     /// first `auto` job (or [`Scheduler::policy_preview`]) against this
     /// fingerprint and reused by every later one — repeat tenants pay the
@@ -175,52 +140,11 @@ pub struct MatrixArtifacts {
 }
 
 impl MatrixArtifacts {
-    fn build(a: Arc<CsrMatrix>) -> Self {
-        let inv_diag = if a.is_square() {
-            let d = a.diag();
-            if d.iter().all(|&v| v != 0.0) {
-                Some(Arc::new(d.iter().map(|&v| 1.0 / v).collect()))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let mut norms = vec![0.0f64; a.n_rows()];
-        for (i, w) in norms.iter_mut().enumerate() {
-            a.visit_row(i, |_, v| *w += v * v);
-        }
-        let alias = if norms.iter().any(|&w| w > 0.0) {
-            Some(Arc::new(AliasTable::new(&norms)))
-        } else {
-            None
-        };
-        let probe = if a.is_square() && a.n_rows() > 0 {
-            let p = lambda_max(&a, PROBE_ITERS, PROBE_TOL, PROBE_SEED);
-            Some(SpectralProbe {
-                lambda_max: p.eigenvalue,
-                iterations: p.iterations,
-                last_change: p.last_change,
-            })
-        } else {
-            None
-        };
-        MatrixArtifacts {
-            a,
-            inv_diag,
-            alias,
-            probe,
-            policy: None,
-        }
-    }
-
-    /// Approximate heap footprint, for the registry's byte budget.
+    /// Approximate heap footprint of the canonical CSR, for the
+    /// registry's byte budget: `row_ptr` plus 16 bytes (a column index
+    /// and a value) per stored entry.
     fn bytes(&self) -> usize {
-        let csr = (self.a.n_rows() + 1) * 8 + self.a.nnz() * 16;
-        let dinv = self.inv_diag.as_ref().map_or(0, |d| d.len() * 8);
-        // Alias table: prob + alias arrays, ~16 bytes per row.
-        let alias = self.alias.as_ref().map_or(0, |t| t.len() * 16);
-        csr + dinv + alias
+        (self.a.n_rows() + 1) * 8 + self.a.nnz() * 16
     }
 }
 
@@ -311,8 +235,9 @@ pub struct RegistryStats {
     pub policy_hits: u64,
     /// Matrices currently registered.
     pub entries: usize,
-    /// Approximate bytes currently cached (CSR + artifacts + warm
-    /// solutions).
+    /// Approximate bytes currently cached: per entry the canonical CSR,
+    /// `(n_rows + 1)·8 + nnz·16`, plus 8 bytes per element of each stored
+    /// warm-start solution.
     pub bytes: usize,
 }
 
@@ -330,8 +255,6 @@ impl RegistryStats {
 
 struct Entry {
     artifacts: MatrixArtifacts,
-    /// Artifact bytes (excludes warm solutions, accounted separately).
-    artifact_bytes: usize,
     /// Bytes of stored warm-start solutions.
     warm_bytes: usize,
     /// Jobs admitted through this entry and not yet completed. An entry
@@ -363,7 +286,6 @@ pub(crate) struct MatrixRegistry {
 /// What admission resolved to (dedup hits/misses are observable through
 /// [`RegistryStats`]).
 pub(crate) struct Admission {
-    pub fingerprint: MatrixFingerprint,
     /// The canonical allocation the job should run against.
     pub canonical: Arc<CsrMatrix>,
     /// Whether the entry is registered (false only after a collision).
@@ -388,13 +310,17 @@ impl MatrixRegistry {
         }
     }
 
-    /// Admit a matrix: dedup onto the canonical entry on a hit, register
-    /// a fresh entry (computing artifacts) on a miss. Pins the entry
-    /// (`in_flight += 1`); the scheduler must call [`Self::release`]
-    /// exactly once per admission when the job reaches any terminal
-    /// state.
-    pub(crate) fn admit(&mut self, a: &Arc<CsrMatrix>) -> Admission {
-        let fingerprint = MatrixFingerprint::of(a);
+    /// Admit a matrix under its fingerprint (`MatrixFingerprint::of(a)`,
+    /// computed by the caller so the hash runs outside the registry
+    /// lock): dedup onto the canonical entry on a hit, register a fresh
+    /// entry on a miss. Pins the entry (`in_flight += 1`); the scheduler
+    /// must call [`Self::release`] exactly once per admission when the
+    /// job reaches any terminal state.
+    pub(crate) fn admit(
+        &mut self,
+        fingerprint: MatrixFingerprint,
+        a: &Arc<CsrMatrix>,
+    ) -> Admission {
         self.tick += 1;
         let tick = self.tick;
         if let Some(entry) = self.entries.get_mut(&fingerprint) {
@@ -403,7 +329,6 @@ impl MatrixRegistry {
                 entry.in_flight += 1;
                 entry.last_touch = tick;
                 return Admission {
-                    fingerprint,
                     canonical: Arc::clone(&entry.artifacts.a),
                     registered: true,
                 };
@@ -412,33 +337,42 @@ impl MatrixRegistry {
             // its own allocation, unregistered.
             self.collisions += 1;
             return Admission {
-                fingerprint,
                 canonical: Arc::clone(a),
                 registered: false,
             };
         }
         self.misses += 1;
-        let artifacts = MatrixArtifacts::build(Arc::clone(a));
-        let artifact_bytes = artifacts.bytes();
-        self.bytes += artifact_bytes;
+        self.insert(fingerprint, Arc::clone(a), BTreeMap::new(), 1, tick);
+        Admission {
+            canonical: Arc::clone(a),
+            registered: true,
+        }
+    }
+
+    /// Register a new entry and evict down to the budget (the new entry
+    /// survives when pinned).
+    fn insert(
+        &mut self,
+        fingerprint: MatrixFingerprint,
+        a: Arc<CsrMatrix>,
+        warm: BTreeMap<TenantId, Vec<f64>>,
+        in_flight: usize,
+        tick: u64,
+    ) {
+        let artifacts = MatrixArtifacts { a, policy: None };
+        let warm_bytes: usize = warm.values().map(|v| v.len() * 8).sum();
+        self.bytes += artifacts.bytes() + warm_bytes;
         self.entries.insert(
             fingerprint,
             Entry {
                 artifacts,
-                artifact_bytes,
-                warm_bytes: 0,
-                in_flight: 1,
+                warm_bytes,
+                in_flight,
                 last_touch: tick,
-                warm: BTreeMap::new(),
+                warm,
             },
         );
         self.evict_to_budget();
-        let canonical = Arc::clone(&self.entries[&fingerprint].artifacts.a);
-        Admission {
-            fingerprint,
-            canonical,
-            registered: true,
-        }
     }
 
     /// Evict least-recently-touched entries until the byte budget holds,
@@ -455,7 +389,7 @@ impl MatrixRegistry {
             match victim {
                 Some(fp) => {
                     let e = self.entries.remove(&fp).expect("victim exists");
-                    self.bytes -= e.artifact_bytes + e.warm_bytes;
+                    self.bytes -= e.artifacts.bytes() + e.warm_bytes;
                     self.evictions += 1;
                 }
                 None => break,
@@ -516,33 +450,34 @@ impl MatrixRegistry {
         self.entries.get(&fp).map(|e| e.artifacts.clone())
     }
 
-    /// The solver-policy decision for this matrix: the cached one when the
-    /// fingerprint's entry already carries it (a *policy hit* — no matvec
-    /// spent), otherwise freshly probed through the facade's fixed-seed
-    /// pipeline (a *policy probe*) and cached on the entry when one is
-    /// registered. Cached and fresh decisions are identical by
+    /// The cached solver-policy decision for this fingerprint, counted as
+    /// a *policy hit* (no matvec spent); `None` when the entry carries
+    /// none yet or the fingerprint is not registered. On `None` the
+    /// caller runs the probe with the registry unlocked and hands the
+    /// result to [`Self::store_policy`].
+    pub(crate) fn cached_policy(&mut self, fp: MatrixFingerprint) -> Option<Arc<PolicyDecision>> {
+        let d = self.entries.get(&fp)?.artifacts.policy.clone()?;
+        self.policy_hits += 1;
+        Some(d)
+    }
+
+    /// Count a *policy probe* and cache its decision on the fingerprint's
+    /// entry unless the entry already carries one: when two callers probe
+    /// the same matrix concurrently the first stored decision wins, and
+    /// both get it back. Cached and fresh decisions are identical by
     /// construction — the probe is a pure function of the matrix bits —
     /// so the cache is an observable cost optimization, never a behavior
-    /// change.
-    pub(crate) fn resolve_policy(
+    /// change. An unregistered fingerprint caches nothing.
+    pub(crate) fn store_policy(
         &mut self,
         fp: MatrixFingerprint,
-        a: &CsrMatrix,
-    ) -> Result<Arc<PolicyDecision>, SolveError> {
-        if let Some(d) = self
-            .entries
-            .get(&fp)
-            .and_then(|e| e.artifacts.policy.clone())
-        {
-            self.policy_hits += 1;
-            return Ok(d);
-        }
-        let decision = Arc::new(asyrgs::policy::decide_for(a)?);
+        decision: Arc<PolicyDecision>,
+    ) -> Arc<PolicyDecision> {
         self.policy_probes += 1;
-        if let Some(entry) = self.entries.get_mut(&fp) {
-            entry.artifacts.policy = Some(Arc::clone(&decision));
+        match self.entries.get_mut(&fp) {
+            Some(entry) => Arc::clone(entry.artifacts.policy.get_or_insert(decision)),
+            None => decision,
         }
-        Ok(decision)
     }
 
     #[cfg(test)]
@@ -551,11 +486,10 @@ impl MatrixRegistry {
     }
 
     /// Apply an update to a registered operator: build the patched matrix
-    /// copy-on-write, register it under its new fingerprint (artifacts
-    /// recomputed, warm-start solutions carried over), and return the new
-    /// fingerprint. The old entry stays registered until LRU eviction
-    /// reclaims it, so in-flight solves against the old `Arc` finish
-    /// untouched.
+    /// copy-on-write, register it under its new fingerprint (warm-start
+    /// solutions carried over), and return the new fingerprint. The old
+    /// entry stays registered until LRU eviction reclaims it, so in-flight
+    /// solves against the old `Arc` finish untouched.
     pub(crate) fn apply_update(
         &mut self,
         fp: MatrixFingerprint,
@@ -583,22 +517,7 @@ impl MatrixRegistry {
             existing.last_touch = tick;
             return Ok(new_fp);
         }
-        let artifacts = MatrixArtifacts::build(Arc::new(patched));
-        let artifact_bytes = artifacts.bytes();
-        let warm_bytes: usize = warm.values().map(|v| v.len() * 8).sum();
-        self.bytes += artifact_bytes + warm_bytes;
-        self.entries.insert(
-            new_fp,
-            Entry {
-                artifacts,
-                artifact_bytes,
-                warm_bytes,
-                in_flight: 0,
-                last_touch: tick,
-                warm,
-            },
-        );
-        self.evict_to_budget();
+        self.insert(new_fp, Arc::new(patched), warm, 0, tick);
         Ok(new_fp)
     }
 
@@ -717,6 +636,12 @@ mod tests {
         Arc::new(a)
     }
 
+    /// Admit the way the scheduler does: hash first, then admit.
+    fn admit(reg: &mut MatrixRegistry, a: &Arc<CsrMatrix>) -> (MatrixFingerprint, Admission) {
+        let fp = MatrixFingerprint::of(a);
+        (fp, reg.admit(fp, a))
+    }
+
     #[test]
     fn fingerprint_is_content_addressed() {
         let a = workloads::diag_dominant(32, 4, 2.0, 7);
@@ -746,9 +671,9 @@ mod tests {
         let a1 = arc(workloads::laplace2d(5, 5));
         let a2 = arc(workloads::laplace2d(5, 5));
         assert!(!Arc::ptr_eq(&a1, &a2));
-        let adm1 = reg.admit(&a1);
-        let adm2 = reg.admit(&a2);
-        assert_eq!(adm1.fingerprint, adm2.fingerprint);
+        let (fp1, adm1) = admit(&mut reg, &a1);
+        let (fp2, adm2) = admit(&mut reg, &a2);
+        assert_eq!(fp1, fp2);
         assert!(Arc::ptr_eq(&adm1.canonical, &adm2.canonical));
         assert_eq!(reg.stats().entries, 1);
         assert_eq!(reg.stats().hits, 1);
@@ -756,39 +681,52 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_are_cached_on_first_admission() {
+    fn an_entry_holds_the_canonical_csr_and_a_lazy_policy() {
         let mut reg = MatrixRegistry::new(usize::MAX);
         let a = arc(workloads::diag_dominant(24, 4, 2.0, 3));
-        let adm = reg.admit(&a);
-        let art = reg.artifacts(adm.fingerprint).expect("registered");
-        let dinv = art.inv_diag.expect("diagonally dominant: all diag nonzero");
-        let diag = a.diag();
-        for (inv, d) in dinv.iter().zip(&diag) {
-            assert_eq!(*inv, 1.0 / d);
-        }
-        assert!(art.alias.is_some());
-        let probe = art.probe.expect("square matrix gets a probe");
-        assert!(probe.lambda_max.is_finite() && probe.lambda_max > 0.0);
+        let (fp, adm) = admit(&mut reg, &a);
+        let art = reg.artifacts(fp).expect("registered");
+        assert!(Arc::ptr_eq(&art.a, &adm.canonical));
+        assert!(Arc::ptr_eq(&art.a, &a), "a miss keeps the submitter's Arc");
+        assert!(art.policy.is_none(), "no auto job or preview asked yet");
+        // The budget counts the CSR only: row_ptr plus (col, value) per
+        // stored entry.
+        assert_eq!(reg.stats().bytes, (a.n_rows() + 1) * 8 + a.nnz() * 16);
     }
 
     #[test]
     fn policy_decisions_are_cached_per_fingerprint() {
         let mut reg = MatrixRegistry::new(usize::MAX);
         let a = arc(workloads::laplace2d(6, 6));
-        let adm = reg.admit(&a);
-        let d1 = reg.resolve_policy(adm.fingerprint, &a).expect("spd input");
+        let (fp, _) = admit(&mut reg, &a);
+        assert!(reg.cached_policy(fp).is_none(), "nothing stored yet");
+        assert_eq!(reg.stats().policy_hits, 0, "a miss is not a hit");
+        let d1 = Arc::new(asyrgs::policy::decide_for(&a).expect("spd input"));
+        let stored = reg.store_policy(fp, Arc::clone(&d1));
+        assert!(Arc::ptr_eq(&stored, &d1));
         assert_eq!(reg.stats().policy_probes, 1);
         assert_eq!(reg.stats().policy_hits, 0);
-        let d2 = reg.resolve_policy(adm.fingerprint, &a).expect("cached");
+        let d2 = reg.cached_policy(fp).expect("cached");
         assert_eq!(reg.stats().policy_probes, 1);
         assert_eq!(reg.stats().policy_hits, 1);
         assert!(Arc::ptr_eq(&d1, &d2), "hit serves the cached Arc");
-        // A structurally unservable matrix surfaces the typed error and
-        // caches nothing.
+        // A racing second probe of the same matrix is counted but does
+        // not replace the decision already cached.
+        let late = Arc::new(asyrgs::policy::decide_for(&a).expect("spd input"));
+        let kept = reg.store_policy(fp, late);
+        assert!(Arc::ptr_eq(&kept, &d1), "the first stored decision wins");
+        assert!(Arc::ptr_eq(&reg.cached_policy(fp).expect("cached"), &d1));
+        assert_eq!(reg.stats().policy_probes, 2);
+        assert_eq!(reg.stats().policy_hits, 2);
+        // A structurally unservable matrix fails to profile: the caller
+        // stores nothing, so nothing is counted or cached.
         let zero_diag = arc(CsrMatrix::from_dense(2, 2, &[0.0, 1.0, 1.0, 2.0]));
-        let adm = reg.admit(&zero_diag);
-        assert!(reg.resolve_policy(adm.fingerprint, &zero_diag).is_err());
-        assert_eq!(reg.stats().policy_probes, 1, "failed profiling is free");
+        let (fp, _) = admit(&mut reg, &zero_diag);
+        assert!(reg.cached_policy(fp).is_none());
+        assert!(asyrgs::policy::decide_for(&zero_diag).is_err());
+        assert_eq!(reg.stats().policy_probes, 2, "failed profiling is free");
+        assert_eq!(reg.stats().policy_hits, 2);
+        assert!(reg.artifacts(fp).expect("registered").policy.is_none());
     }
 
     #[test]
@@ -798,13 +736,13 @@ mod tests {
         let a1 = arc(workloads::laplace2d(4, 4));
         let a2 = arc(workloads::laplace2d(6, 6));
         let mut reg = MatrixRegistry::new(1);
-        let adm1 = reg.admit(&a1); // pinned (in_flight = 1)
-        let adm2 = reg.admit(&a2);
+        let (fp1, _) = admit(&mut reg, &a1); // pinned (in_flight = 1)
+        let (fp2, _) = admit(&mut reg, &a2);
         // Both over budget but both pinned: nothing evictable.
-        assert!(reg.contains(adm1.fingerprint));
-        assert!(reg.contains(adm2.fingerprint));
-        reg.release(adm1.fingerprint);
-        reg.release(adm2.fingerprint);
+        assert!(reg.contains(fp1));
+        assert!(reg.contains(fp2));
+        reg.release(fp1);
+        reg.release(fp2);
         // Now over budget with no pins: LRU eviction reclaims.
         assert_eq!(reg.stats().entries, 0);
         assert!(reg.stats().evictions >= 2);
@@ -814,37 +752,34 @@ mod tests {
     fn warm_start_roundtrip_and_invalidation() {
         let mut reg = MatrixRegistry::new(usize::MAX);
         let a = arc(workloads::laplace2d(4, 4));
-        let adm = reg.admit(&a);
+        let (fp, _) = admit(&mut reg, &a);
         let t = TenantId(9);
-        assert!(reg.take_warm_start(adm.fingerprint, t).is_none());
+        assert!(reg.take_warm_start(fp, t).is_none());
         let x = vec![1.5; a.n_rows()];
-        reg.record_solution(adm.fingerprint, t, &x);
-        assert_eq!(
-            reg.take_warm_start(adm.fingerprint, t).as_deref(),
-            Some(&x[..])
-        );
-        assert!(reg.take_warm_start(adm.fingerprint, TenantId(10)).is_none());
-        reg.invalidate_warm(adm.fingerprint, t);
-        assert!(reg.take_warm_start(adm.fingerprint, t).is_none());
+        reg.record_solution(fp, t, &x);
+        assert_eq!(reg.take_warm_start(fp, t).as_deref(), Some(&x[..]));
+        assert!(reg.take_warm_start(fp, TenantId(10)).is_none());
+        reg.invalidate_warm(fp, t);
+        assert!(reg.take_warm_start(fp, t).is_none());
     }
 
     #[test]
     fn diagonal_shift_patches_in_place_and_rekeys() {
         let mut reg = MatrixRegistry::new(usize::MAX);
         let a = arc(workloads::diag_dominant(16, 4, 2.0, 11));
-        let adm = reg.admit(&a);
+        let (fp, _) = admit(&mut reg, &a);
         let t = TenantId(2);
-        reg.record_solution(adm.fingerprint, t, &[0.25; 16]);
+        reg.record_solution(fp, t, &[0.25; 16]);
         let delta = vec![0.5; 16];
         let new_fp = reg
             .apply_update(
-                adm.fingerprint,
+                fp,
                 &MatrixUpdate::DiagonalShift {
                     delta: delta.clone(),
                 },
             )
             .expect("valid shift");
-        assert_ne!(new_fp, adm.fingerprint);
+        assert_ne!(new_fp, fp);
         let art = reg.artifacts(new_fp).expect("patched entry registered");
         let old_diag = a.diag();
         let new_diag = art.a.diag();
@@ -863,9 +798,9 @@ mod tests {
     fn scale_and_low_rank_updates_match_dense_arithmetic() {
         let mut reg = MatrixRegistry::new(usize::MAX);
         let a = arc(workloads::diag_dominant(8, 3, 2.0, 5));
-        let adm = reg.admit(&a);
+        let (fp, _) = admit(&mut reg, &a);
         let scaled_fp = reg
-            .apply_update(adm.fingerprint, &MatrixUpdate::ScaleValues { alpha: 2.0 })
+            .apply_update(fp, &MatrixUpdate::ScaleValues { alpha: 2.0 })
             .unwrap();
         let scaled = reg.artifacts(scaled_fp).unwrap().a;
         for (s, v) in scaled.values().iter().zip(a.values()) {
@@ -876,7 +811,7 @@ mod tests {
         let v = vec![(0usize, 2.0), (6, 0.5)];
         let lr_fp = reg
             .apply_update(
-                adm.fingerprint,
+                fp,
                 &MatrixUpdate::LowRank {
                     u: u.clone(),
                     v: v.clone(),
@@ -910,7 +845,7 @@ mod tests {
     fn update_rejections_are_typed() {
         let mut reg = MatrixRegistry::new(usize::MAX);
         let a = arc(workloads::laplace2d(3, 3));
-        let adm = reg.admit(&a);
+        let (fp, _) = admit(&mut reg, &a);
         let bogus = MatrixFingerprint(0xdead_beef);
         assert_eq!(
             reg.apply_update(bogus, &MatrixUpdate::ScaleValues { alpha: 1.0 }),
@@ -918,7 +853,7 @@ mod tests {
         );
         assert!(matches!(
             reg.apply_update(
-                adm.fingerprint,
+                fp,
                 &MatrixUpdate::DiagonalShift {
                     delta: vec![1.0; 2]
                 }
@@ -926,15 +861,12 @@ mod tests {
             Err(UpdateError::Shape { .. })
         ));
         assert_eq!(
-            reg.apply_update(
-                adm.fingerprint,
-                &MatrixUpdate::ScaleValues { alpha: f64::NAN }
-            ),
+            reg.apply_update(fp, &MatrixUpdate::ScaleValues { alpha: f64::NAN }),
             Err(UpdateError::NonFinite)
         );
         assert!(matches!(
             reg.apply_update(
-                adm.fingerprint,
+                fp,
                 &MatrixUpdate::LowRank {
                     u: vec![(99, 1.0)],
                     v: vec![(0, 1.0)]

@@ -4,9 +4,10 @@
 //! ## How a job flows
 //!
 //! 1. [`Scheduler::submit`] validates the job (shapes, family, builder
-//!    knobs) and pushes it onto the lock-free MPMC admission queue — a
-//!    full queue is a typed [`SubmitError::QueueFull`], not an unbounded
-//!    backlog.
+//!    knobs), fingerprints the matrix, admits it to the registry (for an
+//!    `auto` job, probing the policy between two registry lock holds), and
+//!    pushes it onto the lock-free MPMC admission queue — a full queue is
+//!    a typed [`SubmitError::QueueFull`], not an unbounded backlog.
 //! 2. A runner thread drains admissions into per-tenant FIFOs and picks
 //!    the next job by **stride scheduling**: each tenant accumulates
 //!    "pass" value at a rate inversely proportional to its jobs' weights,
@@ -49,7 +50,7 @@ use asyrgs_parallel::SlotAccountant;
 use asyrgs_sparse::CsrMatrix;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -149,8 +150,9 @@ pub struct SchedulerConfig {
     /// endless restarts. Exhausted tenants get their jobs quarantined on
     /// the first trip.
     pub tenant_retry_budget: u64,
-    /// Byte budget for the content-addressed matrix registry (canonical
-    /// CSRs, cached artifacts, warm-start solutions). Least-recently-used
+    /// Byte budget for the content-addressed matrix registry: canonical
+    /// CSRs at `(n_rows + 1)·8 + nnz·16` bytes each plus stored warm-start
+    /// solutions (see [`RegistryStats::bytes`]). Least-recently-used
     /// entries are evicted when the budget is exceeded, but never while a
     /// job admitted through them is in flight.
     pub registry_max_bytes: usize,
@@ -405,7 +407,7 @@ struct Inner {
     injection: MpmcQueue<Submission>,
     dispatch: Mutex<DispatchState>,
     /// The content-addressed matrix store, behind its own lock so
-    /// admission-time fingerprinting never contends with dispatch.
+    /// admission never contends with dispatch.
     registry: Mutex<MatrixRegistry>,
     work: Condvar,
     slots: SlotAccountant,
@@ -414,6 +416,14 @@ struct Inner {
     retry_max: u32,
     retry_backoff_ms: u64,
     tenant_retry_budget: u64,
+}
+
+impl Inner {
+    /// The registry, locked (a poisoned lock is recovered, as every other
+    /// scheduler lock is).
+    fn registry(&self) -> MutexGuard<'_, MatrixRegistry> {
+        self.registry.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The multi-tenant solve scheduler (see the module docs for the dispatch
@@ -528,7 +538,7 @@ impl Scheduler {
     pub fn submit(&self, job: SolveJob) -> Result<JobHandle, SubmitError> {
         // `auto` jobs carry no family of their own: every family-dependent
         // check is skipped here and the solver policy's decision (resolved
-        // under the registry lock below, cached per fingerprint) supplies
+        // at registry admission below, cached per fingerprint) supplies
         // a configuration that passes them by construction. Explicit jobs
         // run the exact historical validation sequence.
         if !job.auto && job.builder.configured_family().is_lsq() {
@@ -602,57 +612,62 @@ impl Scheduler {
                 return Err(SubmitError::ShutDown { job: Box::new(job) });
             }
         }
-        // Registry admission: fingerprint the matrix and dedup onto the
-        // canonical allocation. The Arc swap is what widens coalescing
-        // across tenants — the batch gate compares matrices by pointer
-        // identity, and after dedup every bitwise-identical submission
-        // shares one pointer. Runs after validation so rejected jobs never
-        // pin an entry.
+        // Registry admission: dedup onto the canonical allocation. The Arc
+        // swap is what widens coalescing across tenants — the batch gate
+        // compares matrices by pointer identity, and after dedup every
+        // bitwise-identical submission shares one pointer. Runs after
+        // validation so rejected jobs never pin an entry. The hash runs
+        // before the registry lock and an auto job's policy probe between
+        // two holds of it, so runners publishing results do not queue
+        // behind either.
         let mut job = job;
+        let fp = MatrixFingerprint::of(&job.a);
+        let mut reg = self.inner.registry();
+        let adm = reg.admit(fp, &job.a);
+        job.a = adm.canonical;
+        let fingerprint = adm.registered.then_some(fp);
+        if job.auto {
+            // The first auto submission of a fingerprint pays the
+            // spectral probe, every later one reuses the cached decision
+            // bit-for-bit. The admission pin keeps the entry from being
+            // evicted while the probe runs unlocked.
+            let decision = match reg.cached_policy(fp) {
+                Some(decision) => decision,
+                None => {
+                    drop(reg);
+                    let probed = asyrgs::policy::decide_for(&job.a);
+                    reg = self.inner.registry();
+                    match probed {
+                        Ok(decision) => reg.store_policy(fp, Arc::new(decision)),
+                        Err(error) => {
+                            if let Some(fp) = fingerprint {
+                                reg.release(fp);
+                            }
+                            return Err(SubmitError::Rejected {
+                                error,
+                                job: Box::new(job),
+                            });
+                        }
+                    }
+                }
+            };
+            job.builder = SolverBuilder::from_decision(&decision);
+        }
         let mut warm_started = false;
-        let fingerprint = {
-            let mut reg = self
-                .inner
-                .registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let adm = reg.admit(&job.a);
-            job.a = adm.canonical;
-            if job.auto {
-                // Resolve the solver policy under the same lock: the first
-                // auto submission of a fingerprint pays the spectral probe,
-                // every later one reuses the cached decision bit-for-bit.
-                match reg.resolve_policy(adm.fingerprint, &job.a) {
-                    Ok(decision) => {
-                        job.builder = SolverBuilder::from_decision(&decision);
-                    }
-                    Err(error) => {
-                        if adm.registered {
-                            reg.release(adm.fingerprint);
-                        }
-                        drop(reg);
-                        return Err(SubmitError::Rejected {
-                            error,
-                            job: Box::new(job),
-                        });
+        if job.warm_start {
+            // Warm start replaces only the *default zero* iterate: a
+            // caller-supplied x0 always wins, and a stored solution is
+            // only trusted if it is still finite.
+            if job.x0.iter().all(|&v| v == 0.0) {
+                if let Some(x) = reg.take_warm_start(fp, job.tenant) {
+                    if x.len() == job.x0.len() && x.iter().all(|v| v.is_finite()) {
+                        job.x0 = x;
+                        warm_started = true;
                     }
                 }
             }
-            if job.warm_start {
-                // Warm start replaces only the *default zero* iterate: a
-                // caller-supplied x0 always wins, and a stored solution is
-                // only trusted if it is still finite.
-                if job.x0.iter().all(|&v| v == 0.0) {
-                    if let Some(x) = reg.take_warm_start(adm.fingerprint, job.tenant) {
-                        if x.len() == job.x0.len() && x.iter().all(|v| v.is_finite()) {
-                            job.x0 = x;
-                            warm_started = true;
-                        }
-                    }
-                }
-            }
-            adm.registered.then_some(adm.fingerprint)
-        };
+        }
+        drop(reg);
         if warm_started {
             self.inner
                 .counters
@@ -686,11 +701,7 @@ impl Scheduler {
         if let Err(back) = self.inner.injection.push(sub) {
             // The job never entered the queue: undo its registry pin.
             if let Some(fp) = back.fingerprint {
-                self.inner
-                    .registry
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .release(fp);
+                self.inner.registry().release(fp);
             }
             return Err(SubmitError::QueueFull {
                 job: Box::new(back.job),
@@ -767,11 +778,7 @@ impl Scheduler {
 
     /// Counters and occupancy of the content-addressed matrix registry.
     pub fn registry_stats(&self) -> RegistryStats {
-        self.inner
-            .registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .stats()
+        self.inner.registry().stats()
     }
 
     /// The fingerprint a matrix would admit under — content-addressed, so
@@ -780,42 +787,40 @@ impl Scheduler {
         MatrixFingerprint::of(a)
     }
 
-    /// The cached artifact set for a registered fingerprint: the canonical
-    /// CSR, its inverse diagonal, a row-norm alias table, and the spectral
-    /// probe. `None` if the fingerprint was never registered or has been
-    /// evicted.
+    /// What the registry holds for a registered fingerprint: the
+    /// canonical CSR every deduped job runs against, and the solver-policy
+    /// decision once an auto job or [`Self::policy_preview`] resolved one.
+    /// `None` if the fingerprint was never registered or has been evicted.
     pub fn artifacts(&self, fp: MatrixFingerprint) -> Option<MatrixArtifacts> {
-        self.inner
-            .registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .artifacts(fp)
+        self.inner.registry().artifacts(fp)
     }
 
     /// The [`PolicyDecision`] an auto job for this matrix would run under,
     /// without submitting anything. Served from the registry's
-    /// per-fingerprint cache when available; otherwise the probe runs here
-    /// and the decision is cached if the fingerprint is registered (a
-    /// never-registered matrix is profiled fresh each call — identical
-    /// bits still yield an identical decision, the probe being fixed-seed).
+    /// per-fingerprint cache when available; otherwise the probe runs here,
+    /// outside the registry lock, and the decision is cached if the
+    /// fingerprint is registered (a never-registered matrix is profiled
+    /// fresh each call — identical bits still yield an identical decision,
+    /// the probe being fixed-seed).
     ///
     /// # Errors
     /// The structural-profiling errors of [`asyrgs::policy::decide_for`]:
     /// empty, non-finite, underdetermined, or zero-diagonal inputs that no
     /// policy-selectable solver could accept.
     pub fn policy_preview(&self, a: &CsrMatrix) -> Result<Arc<PolicyDecision>, SolveError> {
-        self.inner
-            .registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .resolve_policy(MatrixFingerprint::of(a), a)
+        let fp = MatrixFingerprint::of(a);
+        let cached = self.inner.registry().cached_policy(fp);
+        if let Some(decision) = cached {
+            return Ok(decision);
+        }
+        let decision = Arc::new(asyrgs::policy::decide_for(a)?);
+        Ok(self.inner.registry().store_policy(fp, decision))
     }
 
     /// Patch a registered operator in place of a fresh registration: the
     /// cached entry is rebuilt copy-on-write under the update (in-flight
-    /// solves against the old `Arc` are unaffected), artifacts are
-    /// recomputed, warm-start solutions carry over, and the new
-    /// fingerprint is returned — submit follow-up jobs against a matrix
+    /// solves against the old `Arc` are unaffected), warm-start solutions
+    /// carry over, and the new fingerprint is returned — submit follow-up jobs against a matrix
     /// with that content to hit the patched entry. The old entry remains
     /// until LRU eviction reclaims it.
     ///
@@ -828,11 +833,7 @@ impl Scheduler {
         fp: MatrixFingerprint,
         update: &MatrixUpdate,
     ) -> Result<MatrixFingerprint, UpdateError> {
-        self.inner
-            .registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .apply_update(fp, update)
+        self.inner.registry().apply_update(fp, update)
     }
 
     /// A queue-routed counterpart of
@@ -904,7 +905,7 @@ fn registry_finish(
     x: &[f64],
 ) {
     let Some(fp) = sub.fingerprint else { return };
-    let mut reg = inner.registry.lock().unwrap_or_else(|e| e.into_inner());
+    let mut reg = inner.registry();
     match result {
         Ok(_) if sub.job.warm_start => reg.record_solution(fp, sub.job.tenant, x),
         Err(SolveError::Quarantined { .. }) => reg.invalidate_warm(fp, sub.job.tenant),

@@ -1,6 +1,7 @@
 //! Content-addressed matrix registry, end to end through the scheduler:
 //! fingerprint stability, cross-tenant dedup and coalescing, eviction
-//! pinning, and warm-start semantics (including the quarantine fallback).
+//! pinning, warm-start semantics (including the quarantine fallback), and
+//! the per-fingerprint policy cache under racing first submissions.
 //!
 //! Everything here drives the public `asyrgs-serve` surface — jobs go
 //! through `Scheduler::submit` exactly as tenants would, and the registry
@@ -13,7 +14,7 @@ use asyrgs_core::driver::Termination;
 use asyrgs_core::error::SolveError;
 use asyrgs_serve::{Scheduler, SchedulerConfig, SolveJob, TenantId};
 use asyrgs_workloads::laplace2d;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn problem(side: usize) -> (CsrMatrix, Vec<f64>) {
     let a = laplace2d(side, side);
@@ -333,4 +334,87 @@ fn health_armed_jobs_stay_solo_even_when_deduped() {
     let reg = sched.registry_stats();
     assert_eq!((reg.misses, reg.hits), (1, 2));
     assert_eq!(sched.stats().cross_tenant_coalesced, 0);
+}
+
+#[test]
+fn racing_first_auto_submissions_share_one_entry_and_one_decision() {
+    // Two tenants submit `auto` jobs for the same fresh matrix at once,
+    // each with its own copy. Admission probes the policy with the
+    // registry unlocked, so both may probe; whichever way the race goes,
+    // one admission registers the matrix, the other dedups onto it, and
+    // every auto resolution is counted exactly once as a probe or a hit.
+    let (a, b) = problem(9);
+    let sched = Scheduler::new(SchedulerConfig {
+        runners: 2,
+        ..SchedulerConfig::default()
+    });
+    let start = Barrier::new(2);
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let submitters: Vec<_> = (1..=2u64)
+            .map(|tenant| {
+                let (a, b, sched, start) = (a.clone(), b.clone(), &sched, &start);
+                s.spawn(move || {
+                    start.wait();
+                    sched
+                        .submit(SolveJob::auto(Arc::new(a), b).with_tenant(TenantId(tenant)))
+                        .expect("an spd system is servable")
+                        .wait()
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .map(|h| h.join().expect("submitter thread panicked"))
+            .collect()
+    });
+    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
+    for out in outcomes {
+        out.result.expect("the policy's pick converges");
+        let r = a.matvec(&out.x);
+        let res = r
+            .iter()
+            .zip(&b)
+            .map(|(ri, bi)| (bi - ri) * (bi - ri))
+            .sum::<f64>()
+            .sqrt();
+        assert!(res / b_norm < 1e-8, "relative residual {:e}", res / b_norm);
+    }
+    let reg = sched.registry_stats();
+    assert_eq!((reg.misses, reg.hits), (1, 1));
+    assert_eq!(reg.policy_probes + reg.policy_hits, 2);
+    assert!(reg.policy_probes >= 1);
+    // The cached decision is the fresh probe's, served as a hit.
+    let decision = sched.policy_preview(&a).expect("cached");
+    assert_eq!(*decision, asyrgs::policy::decide_for(&a).expect("spd"));
+    let after = sched.registry_stats();
+    assert_eq!(after.policy_hits, reg.policy_hits + 1);
+    assert_eq!(after.policy_probes, reg.policy_probes);
+}
+
+#[test]
+fn rejected_auto_job_unpins_its_entry_and_keeps_its_x0() {
+    // An auto job whose matrix no policy-selectable solver accepts is
+    // rejected after its probe ran unlocked; the second registry hold must
+    // release the admission pin, or a 1-byte budget could never evict it.
+    let sched = Scheduler::new(SchedulerConfig {
+        runners: 1,
+        registry_max_bytes: 1,
+        ..SchedulerConfig::default()
+    });
+    let a = Arc::new(CsrMatrix::from_dense(2, 2, &[0.0, 1.0, 1.0, 2.0]));
+    let x0 = vec![3.25, -1.5];
+    let err = sched
+        .submit(SolveJob::auto(a, vec![1.0; 2]).with_x0(x0.clone()))
+        .unwrap_err();
+    let asyrgs_serve::SubmitError::Rejected { error, job } = err else {
+        panic!("expected a typed rejection, got {err}");
+    };
+    assert!(matches!(error, SolveError::ZeroDiagonal { .. }));
+    assert_eq!(job.x0(), &x0[..], "the rejected job keeps its x0 bitwise");
+    let reg = sched.registry_stats();
+    assert_eq!((reg.misses, reg.entries, reg.evictions), (1, 0, 1));
+    assert_eq!(
+        (reg.policy_probes, reg.policy_hits, reg.warm_starts),
+        (0, 0, 0)
+    );
 }
