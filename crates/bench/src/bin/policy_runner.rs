@@ -3,7 +3,8 @@
 //! and `SolveJob::auto`) over the whole scenario corpus and writes
 //! `BENCH_policy.json` — per scenario: the decision (family, rule,
 //! preconditioner, threads, fallback chain), the probe evidence and its
-//! cost in matvecs, and the picked cell's iterations-to-tolerance against
+//! cost in matvecs (zero where the Gershgorin bound `kappa_bound`
+//! certified the pick without a probe), and the picked cell's iterations-to-tolerance against
 //! the best policy-selectable cell's.
 //!
 //! Self-gating: the process exits nonzero if any scenario's pick misses
@@ -45,6 +46,7 @@ struct Row {
     kappa: Option<f64>,
     rho_jacobi: Option<f64>,
     dominance_margin: Option<f64>,
+    kappa_bound: Option<f64>,
     probe_matvecs: usize,
     expectation: &'static str,
     best_tag: &'static str,
@@ -172,6 +174,7 @@ fn evaluate(sc: &Scenario) -> Row {
         kappa: d.profile.spectral.kappa,
         rho_jacobi: d.profile.spectral.rho_jacobi,
         dominance_margin: d.profile.dominance_margin,
+        kappa_bound: d.profile.kappa_bound,
         probe_matvecs: d.profile.spectral.probe_matvecs,
         expectation: expectation.name(),
         best_tag: best_tag.name(),
@@ -239,7 +242,7 @@ fn main() {
             "    {{\"scenario\": \"{}\", \"class\": \"{}\", \"family\": \"{}\", \
              \"rule\": \"{}\", \"precond\": \"{}\", \"threads\": {}, \
              \"fallback\": [{}], \"kappa\": {}, \"rho_jacobi\": {}, \
-             \"dominance_margin\": {}, \"probe_matvecs\": {}, \
+             \"dominance_margin\": {}, \"kappa_bound\": {}, \"probe_matvecs\": {}, \
              \"expectation\": \"{}\", \"best_tag\": \"{}\", \"status\": \"{}\", \
              \"picked_to_tol\": {}, \"best_to_tol\": {}, \"within_2x\": {}, \
              \"seconds\": {:.6e}, \"final_rel_residual\": {}, \"ok\": {}}}{}",
@@ -257,6 +260,7 @@ fn main() {
             json_f64_opt(r.kappa),
             json_f64_opt(r.rho_jacobi),
             json_f64_opt(r.dominance_margin),
+            json_f64_opt(r.kappa_bound),
             r.probe_matvecs,
             r.expectation,
             r.best_tag,

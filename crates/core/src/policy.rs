@@ -19,7 +19,9 @@
 //! * **facade (`asyrgs::policy`)** — runs the fixed-seed `asyrgs-spectral`
 //!   probes (Lanczos/power condition estimate for symmetric inputs, the
 //!   Jacobi iteration-matrix spectral radius for nonsymmetric ones) and
-//!   feeds them in; `SolverBuilder::auto()` is the entry point.
+//!   feeds them in, skipping them where [`SolverPolicy::needs_probe`]
+//!   says the structural profile already fixes the pick;
+//!   `SolverBuilder::auto()` is the entry point.
 //! * **serve** — caches the finished [`PolicyDecision`] in the matrix
 //!   registry's artifacts, so repeat tenants pay the probe once, and uses
 //!   it as the `Scheduler::submit` default for jobs with no explicit
@@ -97,11 +99,16 @@ pub enum PolicyPrecond {
 
 /// Spectral probe results attached to a [`MatrixProfile`]. All fields are
 /// optional: the structural profile alone already supports a decision
-/// (the rules treat missing evidence conservatively).
+/// (the rules treat missing evidence conservatively). The default value
+/// is "no probe ran": the facade's `decide_for` attaches a probe only
+/// when [`SolverPolicy::needs_probe`] says its value could change the
+/// pick.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpectralEvidence {
     /// Condition-number estimate from the Lanczos + power probe
-    /// (symmetric inputs only).
+    /// (symmetric inputs only). `None` on a decision the Gershgorin
+    /// certificate ([`MatrixProfile::kappa_bound`]) settled without a
+    /// probe.
     pub kappa: Option<f64>,
     /// Spectral radius of the Jacobi iteration matrix `I - D^{-1} A`
     /// (nonsymmetric inputs only).
@@ -112,7 +119,11 @@ pub struct SpectralEvidence {
 }
 
 /// Everything the policy knows about a matrix: cheap structural facts
-/// plus optional spectral probes.
+/// plus optional spectral probes. The structural facts, including the
+/// Gershgorin bound [`kappa_bound`](Self::kappa_bound), cost one
+/// symmetry check and one pass over the rows; a spectral probe costs up
+/// to several hundred matvecs, so it runs only where
+/// [`SolverPolicy::needs_probe`] says it can change the pick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatrixProfile {
     /// Row count.
@@ -130,6 +141,14 @@ pub struct MatrixProfile {
     /// The canonical row diagonal-dominance margin
     /// (`CsrMatrix::dominance_margin`); `None` for rectangular inputs.
     pub dominance_margin: Option<f64>,
+    /// Gershgorin upper bound on the condition number,
+    /// `max_i(a_ii + r_i) / min_i(a_ii - r_i)` with
+    /// `r_i = sum_{j != i} |a_ij|` (`Gershgorin::kappa_bound` of
+    /// `CsrMatrix::gershgorin`). `Some` only for a symmetric square input
+    /// with a positive diagonal whose every disc lies strictly right of 0:
+    /// such a matrix is SPD with every eigenvalue inside the discs, so
+    /// `kappa <= kappa_bound`. `None` otherwise.
+    pub kappa_bound: Option<f64>,
     /// Optional spectral probe results.
     pub spectral: SpectralEvidence,
 }
@@ -177,13 +196,19 @@ impl MatrixProfile {
             }
             positive_diagonal = diag.iter().all(|&d| d > 0.0);
         }
+        let symmetric = square && a.is_symmetric(SYMMETRY_TOL);
+        let discs = a.gershgorin();
+        // A disc strictly right of 0 has `a_ii > r_i >= 0`, so a bound
+        // implies the positive diagonal.
+        let kappa_bound = discs.filter(|_| symmetric).and_then(|g| g.kappa_bound());
         Ok(MatrixProfile {
             rows: a.n_rows(),
             cols: a.n_cols(),
             nnz: a.nnz(),
-            symmetric: square && a.is_symmetric(SYMMETRY_TOL),
+            symmetric,
             positive_diagonal,
-            dominance_margin: a.dominance_margin(),
+            dominance_margin: discs.map(|g| g.dominance_margin),
+            kappa_bound,
             spectral: SpectralEvidence::default(),
         })
     }
@@ -268,6 +293,29 @@ impl Default for SolverPolicy {
 }
 
 impl SolverPolicy {
+    /// Whether a spectral probe could change [`decide`](Self::decide)'s
+    /// pick for this profile. False in three cases:
+    ///
+    /// * `rows > cols` — `lsq-tall` fires on shape alone;
+    /// * symmetric with a non-positive diagonal — `sym-indefinite` fires
+    ///   before any κ rule;
+    /// * symmetric with `kappa_bound < kappa_flex` — the Gershgorin
+    ///   certificate: the probe's κ̂ is a ratio of Ritz values and
+    ///   Rayleigh quotients, all inside `[λ_min, λ_max]`, so
+    ///   `κ̂ <= κ <= kappa_bound < kappa_flex` (up to rounding) and `spd`
+    ///   fires whatever the probe returns, as it does with no probe.
+    ///
+    /// True otherwise, including for every nonsymmetric square input.
+    pub fn needs_probe(&self, profile: &MatrixProfile) -> bool {
+        if profile.rows > profile.cols {
+            return false;
+        }
+        if !profile.symmetric {
+            return true;
+        }
+        profile.positive_diagonal && !profile.kappa_bound.is_some_and(|k| k < self.kappa_flex)
+    }
+
     /// Decide the solver configuration for a profiled matrix.
     ///
     /// The rules fire in a fixed order; the first match wins and its
@@ -376,7 +424,46 @@ mod tests {
         let p = MatrixProfile::structural(&spd3()).unwrap();
         assert!(p.symmetric && p.positive_diagonal && p.is_square());
         assert_eq!(p.dominance_margin, Some(0.5));
+        // Discs [3, 5], [2, 6], [3, 5].
+        assert_eq!(p.kappa_bound, Some(3.0));
         assert_eq!(p.spectral, SpectralEvidence::default());
+    }
+
+    #[test]
+    fn needs_probe_only_where_the_probe_can_change_the_pick() {
+        let policy = SolverPolicy::default();
+        let profile = |dense: &[f64], n: usize| {
+            MatrixProfile::structural(&CsrMatrix::from_dense(dense.len() / n, n, dense)).unwrap()
+        };
+        // Shape alone decides.
+        let tall = profile(&[1.0, 0.0, 0.0, 1.0, 1.0, 1.0], 2);
+        assert!(!policy.needs_probe(&tall));
+        // `sym-indefinite` fires before any kappa rule.
+        let indef = profile(&[1.0, 0.5, 0.5, -2.0], 2);
+        assert!(indef.symmetric && indef.kappa_bound.is_none());
+        assert!(!policy.needs_probe(&indef));
+        // Certified: bound 3 < kappa_flex.
+        let spd = MatrixProfile::structural(&spd3()).unwrap();
+        assert!(!policy.needs_probe(&spd));
+        // Every nonsymmetric square input probes, dominant or not.
+        let nonsym = profile(&[4.0, 1.0, -1.0, 4.0], 2);
+        assert!(!nonsym.symmetric && nonsym.kappa_bound.is_none());
+        assert!(policy.needs_probe(&nonsym));
+        // A disc touching 0 certifies nothing.
+        let weak = profile(&[1.0, -1.0, -1.0, 3.0], 2);
+        assert!(weak.symmetric && weak.positive_diagonal && weak.kappa_bound.is_none());
+        assert!(policy.needs_probe(&weak));
+        // The certificate is strict: a bound at the threshold probes.
+        let at = MatrixProfile {
+            kappa_bound: Some(policy.kappa_flex),
+            ..spd
+        };
+        assert!(policy.needs_probe(&at));
+        let below = MatrixProfile {
+            kappa_bound: Some(policy.kappa_flex * (1.0 - f64::EPSILON)),
+            ..spd
+        };
+        assert!(!policy.needs_probe(&below));
     }
 
     #[test]

@@ -47,8 +47,10 @@
 //! A job without an explicit family — [`SolveJob::auto`] — is routed by
 //! the **solver policy** (`asyrgs::policy`, decision function in
 //! `asyrgs_core::policy`): admission profiles the matrix, runs a
-//! fixed-seed spectral probe on the submitting thread, and configures the
-//! job from the resulting
+//! fixed-seed spectral probe on the submitting thread where the probe can
+//! change the pick (a Gershgorin bound certifies strictly diagonally
+//! dominant SPD matrices without one), and configures the job from the
+//! resulting
 //! [`PolicyDecision`](asyrgs_core::policy::PolicyDecision). The registry
 //! caches the finished decision per content fingerprint, so repeat
 //! tenants of the same matrix skip the probe

@@ -131,7 +131,8 @@ pub struct MatrixArtifacts {
     /// The solver-policy decision for this matrix, resolved lazily by the
     /// first `auto` job (or [`Scheduler::policy_preview`]) against this
     /// fingerprint and reused by every later one — repeat tenants pay the
-    /// policy's spectral probe once per registered matrix. `None` until
+    /// policy's spectral probe, where it runs, once per registered matrix.
+    /// `None` until
     /// some job asked for a policy decision: explicit-family jobs never
     /// trigger the probe.
     ///
@@ -227,8 +228,10 @@ pub struct RegistryStats {
     pub warm_starts: u64,
     /// Matrix updates applied (entries re-keyed under a new fingerprint).
     pub updates: u64,
-    /// Solver-policy decisions resolved by running the spectral probe
-    /// (first `auto` job or preview against a matrix).
+    /// Solver-policy decisions resolved fresh through
+    /// `asyrgs::policy::decide_for` (first `auto` job or preview against a
+    /// matrix), probe or not: a decision the Gershgorin bound certified
+    /// without running the spectral probe counts here too.
     pub policy_probes: u64,
     /// Solver-policy decisions served from the per-fingerprint cache
     /// without re-probing.

@@ -36,6 +36,28 @@ pub const PREFETCH_MIN_BYTES: usize = 4 << 20;
 /// ([`CsrMatrix::par_matvec_into_on`], [`CsrMatrix::par_residual_into_on`]).
 const PAR_ROW_GRAIN: usize = 1024;
 
+/// The row-disc summary [`CsrMatrix::gershgorin`] returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gershgorin {
+    /// The canonical dominance margin, bitwise
+    /// [`CsrMatrix::dominance_margin`].
+    pub dominance_margin: f64,
+    /// Leftmost disc point `min_i (a_ii - r_i)`.
+    pub disc_min: f64,
+    /// Rightmost disc point `max_i (a_ii + r_i)`.
+    pub disc_max: f64,
+}
+
+impl Gershgorin {
+    /// `disc_max / disc_min` when every disc lies strictly right of 0,
+    /// `None` otherwise. For a symmetric matrix every eigenvalue lies in
+    /// `[disc_min, disc_max]`, so the matrix is then positive definite and
+    /// this bounds its 2-norm condition number from above.
+    pub fn kappa_bound(&self) -> Option<f64> {
+        (self.disc_min > 0.0).then(|| self.disc_max / self.disc_min)
+    }
+}
+
 /// A sparse matrix in compressed sparse row format.
 ///
 /// Invariants (enforced by [`CsrMatrix::from_raw_parts`]):
@@ -612,10 +634,23 @@ impl CsrMatrix {
     /// diagonal entry (the ratio is undefined there; callers that need a
     /// typed error report `ZeroDiagonal` themselves).
     pub fn dominance_margin(&self) -> Option<f64> {
+        self.gershgorin().map(|g| g.dominance_margin)
+    }
+
+    /// One pass over the rows that yields the canonical
+    /// [`dominance_margin`](Self::dominance_margin) together with the
+    /// extremes of the Gershgorin row discs: row `i`'s disc is centred at
+    /// `a_ii` with radius `r_i = sum_{j != i} |a_ij|`.
+    ///
+    /// `None` in the same cases as `dominance_margin` (non-square, or a
+    /// zero diagonal entry).
+    pub fn gershgorin(&self) -> Option<Gershgorin> {
         if !self.is_square() {
             return None;
         }
         let mut margin = f64::INFINITY;
+        let mut disc_min = f64::INFINITY;
+        let mut disc_max = f64::NEG_INFINITY;
         for i in 0..self.n_rows {
             let (cols, vals) = self.row(i);
             let mut diag = 0.0;
@@ -631,8 +666,14 @@ impl CsrMatrix {
                 return None;
             }
             margin = margin.min((diag.abs() - off) / diag.abs());
+            disc_min = disc_min.min(diag - off);
+            disc_max = disc_max.max(diag + off);
         }
-        Some(margin)
+        Some(Gershgorin {
+            dominance_margin: margin,
+            disc_min,
+            disc_max,
+        })
     }
 
     /// Infinity norm `max_i sum_j |A_ij|`.
@@ -994,13 +1035,46 @@ mod tests {
         // Off-diagonal mass above the diagonal goes negative.
         let w = CsrMatrix::from_dense(2, 2, &[1.0, 3.0, 0.0, 1.0]);
         assert_eq!(w.dominance_margin(), Some(-2.0));
+        // The disc pass carries the same margins, and the disc extremes:
+        // rows of `m` span [1, 3], [1, 7], [1, 3]; `w`'s row 0 spans
+        // [-2, 4].
+        let g = m.gershgorin().unwrap();
+        assert_eq!(
+            (g.dominance_margin, g.disc_min, g.disc_max),
+            (0.25, 1.0, 7.0)
+        );
+        assert_eq!(g.kappa_bound(), Some(7.0));
+        let g = w.gershgorin().unwrap();
+        assert_eq!(
+            (g.dominance_margin, g.disc_min, g.disc_max),
+            (-2.0, -2.0, 4.0)
+        );
+        assert_eq!(g.kappa_bound(), None);
+    }
+
+    #[test]
+    fn gershgorin_gives_no_bound_when_a_disc_touches_zero() {
+        // Row 0's disc is [0, 2]: weakly dominant, possibly singular.
+        let touching = CsrMatrix::from_dense(2, 2, &[1.0, -1.0, -1.0, 3.0]);
+        let g = touching.gershgorin().unwrap();
+        assert_eq!((g.dominance_margin, g.disc_min), (0.0, 0.0));
+        assert_eq!(g.kappa_bound(), None);
+        // A negative diagonal puts its disc left of 0.
+        let negative = CsrMatrix::from_dense(2, 2, &[-4.0, 1.0, 1.0, 4.0]);
+        assert_eq!(negative.gershgorin().unwrap().kappa_bound(), None);
+        assert_eq!(
+            CsrMatrix::identity(3).gershgorin().unwrap().kappa_bound(),
+            Some(1.0)
+        );
     }
 
     #[test]
     fn dominance_margin_undefined_cases() {
         let rect = CsrMatrix::from_dense(2, 3, &[1.0; 6]);
         assert_eq!(rect.dominance_margin(), None);
+        assert_eq!(rect.gershgorin(), None);
         let zero_diag = CsrMatrix::from_dense(2, 2, &[0.0, 1.0, 1.0, 2.0]);
         assert_eq!(zero_diag.dominance_margin(), None);
+        assert_eq!(zero_diag.gershgorin(), None);
     }
 }

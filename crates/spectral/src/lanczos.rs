@@ -60,7 +60,8 @@ pub fn lanczos(a: &CsrMatrix, m: usize, seed: u64) -> LanczosResult {
                 w[i] -= bj * vprev[i];
             }
         }
-        // Full reorthogonalization (two passes of classical Gram-Schmidt).
+        // Full reorthogonalization (two passes of modified Gram-Schmidt:
+        // each coefficient is taken against the running `w`).
         for _ in 0..2 {
             for q in &basis {
                 let c = dot(&w, q);

@@ -9,11 +9,18 @@
 //!
 //! * **symmetric** inputs get the Lanczos + power condition estimate
 //!   ([`asyrgs_spectral::estimate_condition`]) under a
-//!   [`POLICY_PROBE_BUDGET`]-matvec budget;
+//!   [`POLICY_PROBE_BUDGET`]-matvec budget, unless the structural profile
+//!   already fixes the pick: a non-positive diagonal (`sym-indefinite`),
+//!   or a Gershgorin bound [`MatrixProfile::kappa_bound`] below
+//!   `kappa_flex` (`spd`, certified without a matvec);
 //! * **nonsymmetric square** inputs get the spectral radius of the Jacobi
 //!   iteration matrix ([`asyrgs_spectral::jacobi_spectral_radius`]);
 //! * **tall least-squares** inputs get no probe at all — the `lsq-tall`
 //!   rule fires on shape alone, so the probe cost is zero.
+//!
+//! [`SolverPolicy::needs_probe`] is the predicate; [`decide_for`] skips
+//! the probe wherever it is false, and the pick is the one the probe
+//! would have led to.
 //!
 //! Everything is seeded with [`POLICY_PROBE_SEED`]: the same matrix bits
 //! always produce the same evidence and therefore (the decision function
@@ -54,6 +61,9 @@ pub const POLICY_PROBE_SEED: u64 = 0x90BE;
 /// Matrix-vector products a policy probe may spend. The decision
 /// thresholds in [`SolverPolicy::default`] are calibrated against
 /// estimates at exactly this budget; changing it recalibrates the policy.
+/// A decision the structural profile already fixes
+/// ([`SolverPolicy::needs_probe`] false, e.g. a Gershgorin-certified SPD
+/// matrix) spends none of it (`probe_matvecs == 0`).
 pub const POLICY_PROBE_BUDGET: usize = 600;
 
 /// Run the fixed-seed spectral probe appropriate for a profiled matrix.
@@ -62,6 +72,11 @@ pub const POLICY_PROBE_BUDGET: usize = 600;
 /// a Jacobi-iteration-matrix spectral radius, tall inputs nothing (the
 /// shape alone decides). The returned evidence records the matvecs spent
 /// — the probe-cost currency of `BENCH_policy.json`.
+///
+/// This always probes, even where [`SolverPolicy::needs_probe`] is
+/// false; [`decide_for`] calls it only where it is true. `probe_spectral`
+/// followed by [`SolverPolicy::decide`] is the reference pipeline the
+/// tests hold `decide_for`'s picks to.
 pub fn probe_spectral(a: &CsrMatrix, profile: &MatrixProfile) -> SpectralEvidence {
     if profile.symmetric {
         let est = estimate_condition(
@@ -90,16 +105,28 @@ pub fn probe_spectral(a: &CsrMatrix, profile: &MatrixProfile) -> SpectralEvidenc
     }
 }
 
-/// Profile, probe, and decide: the full policy pipeline for one matrix.
+/// Profile, probe where it matters, and decide: the full policy pipeline
+/// for one matrix.
+///
+/// The structural profile always runs. [`probe_spectral`] runs only when
+/// [`SolverPolicy::needs_probe`] says its value can change the pick; a
+/// decision taken without it carries `kappa: None`, `probe_matvecs: 0`,
+/// and the profile's [`kappa_bound`](MatrixProfile::kappa_bound) as its
+/// evidence. Either way the family, rule, preconditioner, threads and
+/// fallback are those of the always-probe pipeline, and a decision that
+/// did probe is bitwise that pipeline's.
 ///
 /// # Errors
 /// The structural-profiling errors of [`MatrixProfile::structural`]
 /// (empty, non-finite, underdetermined, zero diagonal) — inputs no
 /// policy-selectable solver could accept.
 pub fn decide_for(a: &CsrMatrix) -> Result<PolicyDecision, SolveError> {
-    let profile = MatrixProfile::structural(a)?;
-    let profile = profile.with_spectral(probe_spectral(a, &profile));
-    Ok(SolverPolicy::default().decide(&profile))
+    let policy = SolverPolicy::default();
+    let mut profile = MatrixProfile::structural(a)?;
+    if policy.needs_probe(&profile) {
+        profile = profile.with_spectral(probe_spectral(a, &profile));
+    }
+    Ok(policy.decide(&profile))
 }
 
 /// The session-layer family a policy pick maps to.
@@ -124,9 +151,10 @@ pub fn session_precond(precond: PolicyPrecond) -> PrecondSpec {
 
 impl SolverBuilder {
     /// Configure a solver automatically from the matrix itself: profile
-    /// it, run the fixed-seed spectral probe, and apply the default
-    /// [`SolverPolicy`]. The result is an ordinary builder — every knob
-    /// can still be overridden before [`build`](SolverBuilder::build),
+    /// it, run the fixed-seed spectral probe where it can change the
+    /// pick, and apply the default [`SolverPolicy`] (see [`decide_for`]).
+    /// The result is an ordinary builder — every knob can still be
+    /// overridden before [`build`](SolverBuilder::build),
     /// and the chosen family keeps its usual termination/recording
     /// defaults.
     ///

@@ -13,24 +13,40 @@
 //! * be **bitwise deterministic**: the same matrix bits produce the same
 //!   `PolicyDecision` on every call, at every pool width, and whether the
 //!   decision came fresh from the probe or out of the serve registry's
-//!   per-fingerprint cache.
+//!   per-fingerprint cache;
+//! * pick exactly what the **always-probe pipeline** (`probe_spectral`
+//!   then `SolverPolicy::decide`) picks, although it skips the probe
+//!   wherever `SolverPolicy::needs_probe` is false.
 //!
 //! Set `ASYRGS_SCENARIO_SMOKE=1` to restrict to the small-`n` subset (the
 //! CI smoke job runs that under 1- and 2-wide global pools).
 
-use asyrgs::policy::decide_for;
+use asyrgs::policy::{decide_for, probe_spectral};
 use asyrgs::prelude::*;
 use asyrgs::session::{SolverBuilder, SolverFamily};
+use asyrgs::workloads::diag_dominant;
 use asyrgs::workloads::scenarios::{
     all_scenarios, find, smoke_scenarios, Expectation, Scenario, ScenarioClass,
 };
 use asyrgs_serve::{Scheduler, SchedulerConfig, SolveJob};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The families the policy can select, by session name. Everything the
 /// decision table can emit must appear here — `policy_picks_are_candidates`
 /// fails otherwise.
 const CANDIDATES: [&str; 5] = ["cg", "fcg", "bicgstab", "gmres", "rcd"];
+
+/// The corpus scenarios whose Gershgorin bound certifies the `spd` pick,
+/// so `decide_for` runs no spectral probe on them.
+const CERTIFIED: [&str; 6] = [
+    "diag_dominant_easy",
+    "barely_spd",
+    "banded_b4",
+    "random_sparse_spd",
+    "kappa_1e2",
+    "reference_unit_diag",
+];
 
 fn scenarios_under_test() -> Vec<Scenario> {
     if std::env::var("ASYRGS_SCENARIO_SMOKE").as_deref() == Ok("1") {
@@ -123,9 +139,22 @@ fn policy_picks_the_best_available_cell_on_every_scenario() {
                 );
             }
             ScenarioClass::SquareSpd => {
+                // A probe, or the Gershgorin certificate that made it
+                // unnecessary.
                 assert!(d.profile.symmetric, "{}", sc.name);
-                assert!(d.profile.spectral.kappa.is_some(), "{}", sc.name);
-                assert!(d.profile.spectral.probe_matvecs > 0, "{}", sc.name);
+                let s = d.profile.spectral;
+                let probed = s.kappa.is_some() && s.probe_matvecs > 0;
+                let kappa_flex = SolverPolicy::default().kappa_flex;
+                let certified = s.kappa.is_none()
+                    && s.probe_matvecs == 0
+                    && d.profile.kappa_bound.is_some_and(|k| k < kappa_flex);
+                assert!(
+                    probed || certified,
+                    "{}: neither probed nor certified: {:?} (bound {:?})",
+                    sc.name,
+                    s,
+                    d.profile.kappa_bound
+                );
             }
             ScenarioClass::SquareNonsym => {
                 assert!(!d.profile.symmetric, "{}", sc.name);
@@ -138,6 +167,90 @@ fn policy_picks_the_best_available_cell_on_every_scenario() {
             "{}: policy and scenario must agree on the canonical margin",
             sc.name
         );
+    }
+}
+
+/// The always-probe reference: `probe_spectral` forced, then the rules.
+fn forced_probe(a: &CsrMatrix) -> PolicyDecision {
+    let profile = MatrixProfile::structural(a).expect("profilable");
+    SolverPolicy::default().decide(&profile.with_spectral(probe_spectral(a, &profile)))
+}
+
+/// Hold `decide_for` to the always-probe pipeline on one matrix: the same
+/// family, rule, preconditioner, threads and fallback everywhere, the
+/// whole decision bitwise wherever the probe still runs, and no evidence
+/// at all where it does not. Returns whether the pick was certified by
+/// the Gershgorin bound.
+fn assert_matches_forced_probe(name: &str, a: &CsrMatrix) -> bool {
+    let policy = SolverPolicy::default();
+    let d = decide_for(a).expect("profilable");
+    let forced = forced_probe(a);
+    let pick = |d: &PolicyDecision| (d.family, d.rule, d.precond, d.threads, d.fallback.clone());
+    assert_eq!(
+        pick(&d),
+        pick(&forced),
+        "{name}: the skipped probe changed the pick"
+    );
+    if policy.needs_probe(&d.profile) {
+        assert_eq!(
+            d, forced,
+            "{name}: a probed decision must be bitwise the forced one"
+        );
+        return false;
+    }
+    assert_eq!(
+        d.profile,
+        MatrixProfile {
+            spectral: SpectralEvidence::default(),
+            ..forced.profile
+        },
+        "{name}: a skipped probe leaves the structural profile alone"
+    );
+    let Some(bound) = d.profile.kappa_bound.filter(|&k| k < policy.kappa_flex) else {
+        return false; // `lsq-tall` or `sym-indefinite`: shape and sign decide.
+    };
+    // Why the certificate cannot change the pick: the estimate it skips
+    // never exceeds the bound (up to rounding).
+    let kappa = forced
+        .profile
+        .spectral
+        .kappa
+        .expect("a symmetric input probes");
+    assert!(
+        kappa <= bound * (1.0 + 1e-9),
+        "{name}: estimate {kappa} above bound {bound}"
+    );
+    true
+}
+
+/// Skipping the probe never changes a pick: on every corpus scenario and
+/// on strictly diagonally dominant matrices from weak (1.05) to strong (4)
+/// dominance, `decide_for` agrees with the forced-probe pipeline, and the
+/// certified corpus set is exactly [`CERTIFIED`].
+#[test]
+fn skipping_the_probe_never_changes_a_pick() {
+    let scenarios = scenarios_under_test();
+    let mut certified = BTreeSet::new();
+    for sc in &scenarios {
+        if assert_matches_forced_probe(sc.name, &sc.build().a) {
+            certified.insert(sc.name);
+        }
+    }
+    let expected: BTreeSet<_> = scenarios
+        .iter()
+        .map(|sc| sc.name)
+        .filter(|name| CERTIFIED.contains(name))
+        .collect();
+    assert_eq!(certified, expected, "the certified corpus set moved");
+
+    for n in [64, 512] {
+        for dominance in [1.05, 1.5, 2.0, 4.0] {
+            for seed in 0..8 {
+                let a = diag_dominant(n, 8, dominance, seed);
+                let name = format!("diag_dominant({n}, 8, {dominance}, {seed})");
+                assert_matches_forced_probe(&name, &a);
+            }
+        }
     }
 }
 

@@ -8,12 +8,14 @@
 //! is observed only via `registry_stats`, `artifacts`, and job outcomes.
 
 use asyrgs::session::{SolverBuilder, SolverFamily};
+use asyrgs::sparse::dense::norm2;
 use asyrgs::sparse::CsrMatrix;
 use asyrgs_core::atomic::SharedVec;
 use asyrgs_core::driver::Termination;
 use asyrgs_core::error::SolveError;
+use asyrgs_core::policy::{PolicyFamily, SolverPolicy};
 use asyrgs_serve::{Scheduler, SchedulerConfig, SolveJob, TenantId};
-use asyrgs_workloads::laplace2d;
+use asyrgs_workloads::{diag_dominant, laplace2d};
 use std::sync::{Arc, Barrier};
 
 fn problem(side: usize) -> (CsrMatrix, Vec<f64>) {
@@ -23,6 +25,12 @@ fn problem(side: usize) -> (CsrMatrix, Vec<f64>) {
         .collect();
     let b = a.matvec(&x_true);
     (a, b)
+}
+
+/// `||b - A x|| / ||b||`, recomputed outside the solver.
+fn rel_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
+    let r: Vec<f64> = a.matvec(x).iter().zip(b).map(|(ax, b)| b - ax).collect();
+    norm2(&r) / norm2(b)
 }
 
 fn rgs(sweeps: usize) -> SolverBuilder {
@@ -367,17 +375,10 @@ fn racing_first_auto_submissions_share_one_entry_and_one_decision() {
             .map(|h| h.join().expect("submitter thread panicked"))
             .collect()
     });
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
     for out in outcomes {
         out.result.expect("the policy's pick converges");
-        let r = a.matvec(&out.x);
-        let res = r
-            .iter()
-            .zip(&b)
-            .map(|(ri, bi)| (bi - ri) * (bi - ri))
-            .sum::<f64>()
-            .sqrt();
-        assert!(res / b_norm < 1e-8, "relative residual {:e}", res / b_norm);
+        let rel = rel_residual(&a, &b, &out.x);
+        assert!(rel < 1e-8, "relative residual {rel:e}");
     }
     let reg = sched.registry_stats();
     assert_eq!((reg.misses, reg.hits), (1, 1));
@@ -417,4 +418,43 @@ fn rejected_auto_job_unpins_its_entry_and_keeps_its_x0() {
         (reg.policy_probes, reg.policy_hits, reg.warm_starts),
         (0, 0, 0)
     );
+}
+
+#[test]
+fn certified_auto_job_resolves_its_decision_without_a_probe() {
+    // A strictly diagonally dominant SPD matrix: its Gershgorin bound
+    // already fixes the `spd` pick, so admission resolves the decision
+    // without a matvec. The resolution still counts once in
+    // `policy_probes`, the count of decisions resolved.
+    let a = Arc::new(diag_dominant(512, 8, 2.0, 7));
+    let x_true: Vec<f64> = (0..a.n_rows()).map(|i| (i % 13) as f64 - 6.0).collect();
+    let b = a.matvec(&x_true);
+    let sched = Scheduler::new(SchedulerConfig {
+        runners: 1,
+        ..SchedulerConfig::default()
+    });
+    let out = sched
+        .submit(SolveJob::auto(Arc::clone(&a), b.clone()))
+        .expect("an spd system is servable")
+        .wait();
+    out.result.expect("the policy's pick converges");
+    let rel = rel_residual(&a, &b, &out.x);
+    assert!(rel < 1e-8, "relative residual {rel:e}");
+
+    let decision = sched
+        .artifacts(Scheduler::fingerprint(&a))
+        .expect("registered")
+        .policy
+        .expect("resolved at admission");
+    assert_eq!((decision.family, decision.rule), (PolicyFamily::Cg, "spd"));
+    assert_eq!(decision.profile.spectral.probe_matvecs, 0);
+    assert_eq!(decision.profile.spectral.kappa, None);
+    let kappa_flex = SolverPolicy::default().kappa_flex;
+    assert!(
+        decision.profile.kappa_bound.is_some_and(|k| k < kappa_flex),
+        "bound {:?}",
+        decision.profile.kappa_bound
+    );
+    let reg = sched.registry_stats();
+    assert_eq!((reg.policy_probes, reg.policy_hits), (1, 0));
 }
