@@ -21,7 +21,7 @@ use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::jacobi::{try_async_jacobi_solve, JacobiOptions};
 use asyrgs_core::rgs::{try_rgs_solve, RgsOptions};
 use asyrgs_rng::{DirectionStream, DrawBuffer};
-use asyrgs_sparse::{CsrMatrix, LinearOperator, RowAccess, RowMajorMat, SellMatrix};
+use asyrgs_sparse::{CsrMatrix, RowMajorMat};
 use asyrgs_workloads::diag_dominant;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,11 +145,6 @@ fn main() {
 
     // ---------------------------------------------------------------- kernels
     let mut kernels: Vec<Sample> = Vec::new();
-    // Captured row_dot minima feed the SELL-penalty speedup record below:
-    // the bench must not ship a losing kernel silently, so the CSR/SELL
-    // single-row gather ratio is a first-class, gateable output.
-    let rd_csr_min;
-    let rd_sell_min;
     {
         let x = vec![1.0f64; n];
         let mut y = vec![0.0f64; n];
@@ -210,35 +205,6 @@ fn main() {
         });
         kernels.push(Sample {
             name: format!("row_dot_x{inner_rd}"),
-            median_seconds: med,
-            min_seconds: min,
-        });
-        rd_csr_min = min;
-        let sell = SellMatrix::from(&a);
-        let (med, min) = time_median(reps, || {
-            let mut acc = 0.0;
-            for i in 0..inner_rd {
-                acc += sell.row_dot(i % n, std::hint::black_box(&x));
-            }
-            acc
-        });
-        kernels.push(Sample {
-            name: format!("row_dot_sell_x{inner_rd}"),
-            median_seconds: med,
-            min_seconds: min,
-        });
-        rd_sell_min = min;
-
-        // SELL's layout exists for vectorized full-matrix traversal, not
-        // single-row gathers: measure the access pattern it is built for
-        // so the row_dot penalty above has an honest counterpart.
-        let (med, min) = time_median(reps, || {
-            for _ in 0..inner {
-                sell.matvec_into(std::hint::black_box(&x), &mut y);
-            }
-        });
-        kernels.push(Sample {
-            name: format!("matvec_sell_x{inner}"),
             median_seconds: med,
             min_seconds: min,
         });
@@ -315,23 +281,6 @@ fn main() {
     // the large system as a no-regression check where matrix work
     // dominates.
     let mut speedups: Vec<Speedup> = Vec::new();
-
-    // SELL single-row penalty, reported as a speedup record so the smoke
-    // gate can read `speedup` = sell_min / csr_min directly. SELL stores
-    // row entries SELL_CHUNK apart (one cache line per entry), so a random
-    // single-row gather pays a measured penalty vs CSR's contiguous walk;
-    // the documented bound lives in `asyrgs_sparse::sell` and CI fails if
-    // the ratio drifts past it. See ARCHITECTURE.md "SELL-C-sigma".
-    speedups.push(Speedup {
-        name: "row_dot_sell_penalty_vs_csr".to_string(),
-        before_seconds: rd_sell_min,
-        after_seconds: rd_csr_min,
-    });
-    eprintln!(
-        "row_dot SELL penalty vs CSR (n={n}): csr {rd_csr_min:.6}s, sell {rd_sell_min:.6}s \
-         ({:.2}x slower)",
-        rd_sell_min / rd_csr_min
-    );
 
     {
         let n_small = if smoke { 128 } else { 256 };

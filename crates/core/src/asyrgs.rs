@@ -33,7 +33,7 @@ use crate::atomic::SharedVec;
 use crate::driver::{
     ensure_beta, ensure_finite_matrix, ensure_finite_slice, ensure_finite_system,
     ensure_square_block_system, ensure_square_system, ensure_threads, inverse_diag_into, Driver,
-    Recording, Solver, Termination,
+    Recording, Termination,
 };
 use crate::error::SolveError;
 use crate::health::{HealthConfig, HealthMonitor};
@@ -448,6 +448,9 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
 ///
 /// `x` holds the initial iterate on entry and the final iterate on exit.
 /// If `x_star` is supplied, A-norm errors are recorded at epoch boundaries.
+/// The solve borrows the process-wide pool when it is wide enough, so an
+/// epoch transition is a wake/park handshake rather than `threads` thread
+/// spawns and joins; [`asyrgs_solve_in`] takes a caller-owned pool.
 ///
 /// # Errors
 /// Returns a [`SolveError`] (and leaves `x` untouched) if `A` is not
@@ -460,82 +463,15 @@ pub fn try_asyrgs_solve<O: RowAccess + Sync>(
     x_star: Option<&[f64]>,
     opts: &AsyRgsOptions,
 ) -> Result<SolveReport, SolveError> {
-    try_asyrgs_solve_on(
+    asyrgs_solve_in(
         &asyrgs_parallel::pool_for(opts.threads),
+        &mut SolveWorkspace::new(),
         a,
         b,
         x,
         x_star,
         opts,
     )
-}
-
-/// [`try_asyrgs_solve`] on an injected worker pool (which must provide at
-/// least `opts.threads`-way concurrency). The default entry point borrows
-/// the process-wide pool when it is wide enough, so an epoch transition is
-/// a wake/park handshake rather than `threads` thread spawns and joins.
-///
-/// # Errors
-/// See [`try_asyrgs_solve`].
-pub fn try_asyrgs_solve_on<O: RowAccess + Sync>(
-    pool: &WorkerPool,
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    x_star: Option<&[f64]>,
-    opts: &AsyRgsOptions,
-) -> Result<SolveReport, SolveError> {
-    asyrgs_solve_in(pool, &mut SolveWorkspace::new(), a, b, x, x_star, opts)
-}
-
-/// Solve `A x = b` with AsyRGS.
-///
-/// # Panics
-/// Panics if `A` is not square, `b`/`x` have mismatched lengths, a
-/// diagonal entry is non-positive, `beta` is outside `(0, 2)`, or
-/// `threads == 0`.
-#[deprecated(note = "use `try_asyrgs_solve` (typed errors) or the session API")]
-pub fn asyrgs_solve<O: RowAccess + Sync>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    x_star: Option<&[f64]>,
-    opts: &AsyRgsOptions,
-) -> SolveReport {
-    try_asyrgs_solve(a, b, x, x_star, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`asyrgs_solve`] on an injected worker pool (which must provide at
-/// least `opts.threads`-way concurrency).
-///
-/// # Panics
-/// Panics on invalid input like [`asyrgs_solve`].
-#[deprecated(note = "use `try_asyrgs_solve_on` (typed errors) or the session API")]
-pub fn asyrgs_solve_on<O: RowAccess + Sync>(
-    pool: &WorkerPool,
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    x_star: Option<&[f64]>,
-    opts: &AsyRgsOptions,
-) -> SolveReport {
-    try_asyrgs_solve_on(pool, a, b, x, x_star, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-impl Solver for AsyRgsOptions {
-    fn name(&self) -> &'static str {
-        "asyrgs"
-    }
-
-    fn solve<O: RowAccess + Sync>(
-        &self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError> {
-        try_asyrgs_solve(a, b, x, x_star, self)
-    }
 }
 
 /// Multi-RHS worker: each iteration updates the whole row `X[r, :]`.
@@ -704,53 +640,14 @@ pub fn try_asyrgs_solve_block(
     x: &mut RowMajorMat,
     opts: &AsyRgsOptions,
 ) -> Result<SolveReport, SolveError> {
-    try_asyrgs_solve_block_on(&asyrgs_parallel::pool_for(opts.threads), a, b, x, opts)
-}
-
-/// [`try_asyrgs_solve_block`] on an injected worker pool (which must
-/// provide at least `opts.threads`-way concurrency).
-///
-/// # Errors
-/// See [`try_asyrgs_solve_block`].
-pub fn try_asyrgs_solve_block_on(
-    pool: &WorkerPool,
-    a: &CsrMatrix,
-    b: &RowMajorMat,
-    x: &mut RowMajorMat,
-    opts: &AsyRgsOptions,
-) -> Result<SolveReport, SolveError> {
-    asyrgs_solve_block_in(pool, &mut SolveWorkspace::new(), a, b, x, opts)
-}
-
-/// Multi-RHS AsyRGS: solves `A X = B` for row-major blocks.
-///
-/// # Panics
-/// Panics if `A` is not square, the blocks do not conform, a diagonal
-/// entry is non-positive, `beta` is outside `(0, 2)`, or `threads == 0`.
-#[deprecated(note = "use `try_asyrgs_solve_block` (typed errors) or the session API")]
-pub fn asyrgs_solve_block(
-    a: &CsrMatrix,
-    b: &RowMajorMat,
-    x: &mut RowMajorMat,
-    opts: &AsyRgsOptions,
-) -> SolveReport {
-    try_asyrgs_solve_block(a, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`asyrgs_solve_block`] on an injected worker pool (which must provide
-/// at least `opts.threads`-way concurrency).
-///
-/// # Panics
-/// Panics on invalid input like [`asyrgs_solve_block`].
-#[deprecated(note = "use `try_asyrgs_solve_block_on` (typed errors) or the session API")]
-pub fn asyrgs_solve_block_on(
-    pool: &WorkerPool,
-    a: &CsrMatrix,
-    b: &RowMajorMat,
-    x: &mut RowMajorMat,
-    opts: &AsyRgsOptions,
-) -> SolveReport {
-    try_asyrgs_solve_block_on(pool, a, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
+    asyrgs_solve_block_in(
+        &asyrgs_parallel::pool_for(opts.threads),
+        &mut SolveWorkspace::new(),
+        a,
+        b,
+        x,
+        opts,
+    )
 }
 
 #[cfg(test)]

@@ -18,9 +18,8 @@
 //!   sweep boundary, then [`Driver::finish`] / [`Driver::finish_computed`]
 //!   to assemble the [`SolveReport`].
 //!
-//! The module also hosts the [`Solver`] trait and [`SolverSpec`] enum for
-//! uniform dispatch over the square-system solvers, and the shared
-//! dimension-validation helpers every public entry point calls.
+//! The module also hosts the shared input-validation helpers every public
+//! entry point calls.
 //!
 //! # Worked example
 //!
@@ -53,7 +52,9 @@
 //! assert!(report.final_rel_residual <= 1e-3);
 //! ```
 
+use crate::error::SolveError;
 use crate::report::{SolveReport, SweepRecord};
+use asyrgs_sparse::RowAccess;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -544,8 +545,6 @@ impl Driver {
 // Shared input validation
 // ---------------------------------------------------------------------------
 
-use crate::error::SolveError;
-
 /// Validate the shapes of a square-system solve `A x = b`.
 ///
 /// The checks run in the historical order (square, `b`, `x`, emptiness),
@@ -746,167 +745,6 @@ pub fn inverse_diag_nonzero_into(diag: &[f64], out: &mut Vec<f64>) -> Result<(),
         out.push(1.0 / d);
     }
     Ok(())
-}
-
-/// Validate the shapes of a square-system solve `A x = b`.
-///
-/// # Panics
-/// Panics with a message naming `solver` and the offending dimension when
-/// the matrix is not square or `b`/`x` do not match the system dimension.
-#[deprecated(note = "use `ensure_square_system`, which returns a typed `SolveError`")]
-pub fn check_square_system(
-    solver: &'static str,
-    n_rows: usize,
-    n_cols: usize,
-    b_len: usize,
-    x_len: usize,
-) {
-    if let Err(e) = ensure_square_system(solver, n_rows, n_cols, b_len, x_len) {
-        panic!("{e}");
-    }
-}
-
-/// Validate the shapes of a multi-RHS square-system solve `A X = B`.
-///
-/// # Panics
-/// Panics with a message naming `solver` when the matrix is not square or
-/// the blocks do not conform.
-#[deprecated(note = "use `ensure_square_block_system`, which returns a typed `SolveError`")]
-#[allow(clippy::too_many_arguments)]
-pub fn check_square_block_system(
-    solver: &'static str,
-    n_rows: usize,
-    n_cols: usize,
-    b_rows: usize,
-    b_cols: usize,
-    x_rows: usize,
-    x_cols: usize,
-) {
-    if let Err(e) =
-        ensure_square_block_system(solver, n_rows, n_cols, b_rows, b_cols, x_rows, x_cols)
-    {
-        panic!("{e}");
-    }
-}
-
-/// Validate the step size `beta in (0, 2)`.
-///
-/// # Panics
-/// Panics when `beta` is outside the open interval.
-#[deprecated(note = "use `ensure_beta`, which returns a typed `SolveError`")]
-pub fn check_beta(beta: f64) {
-    if let Err(e) = ensure_beta(beta) {
-        panic!("{e}");
-    }
-}
-
-/// Validate the worker thread count.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-#[deprecated(note = "use `ensure_threads`, which returns a typed `SolveError`")]
-pub fn check_threads(threads: usize) {
-    if let Err(e) = ensure_threads(threads) {
-        panic!("{e}");
-    }
-}
-
-/// Invert a strictly positive diagonal, panicking with the entry index on
-/// violation (positive diagonals are what the SPD solvers require).
-#[deprecated(note = "use `inverse_diag_into`, which returns a typed `SolveError`")]
-pub fn checked_inverse_diag(diag: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    if let Err(e) = inverse_diag_into(diag, &mut out) {
-        panic!("{e}");
-    }
-    out
-}
-
-/// Invert a nonzero diagonal (Jacobi only needs invertibility, not
-/// positivity), panicking with the entry index on violation.
-#[deprecated(note = "use `inverse_diag_nonzero_into`, which returns a typed `SolveError`")]
-pub fn checked_inverse_diag_nonzero(diag: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    if let Err(e) = inverse_diag_nonzero_into(diag, &mut out) {
-        panic!("{e}");
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Uniform dispatch
-// ---------------------------------------------------------------------------
-
-use asyrgs_sparse::RowAccess;
-
-/// Uniform entry point over the square-system solvers: options structs
-/// implement this so call sites can be generic over *which* solver runs.
-///
-/// The method is generic over the operator (monomorphized row kernels), so
-/// the trait itself is not object-safe; use [`SolverSpec`] for value-level
-/// dispatch.
-pub trait Solver {
-    /// Human-readable solver name (stable, snake_case).
-    fn name(&self) -> &'static str;
-
-    /// Solve `A x = b`, reading the initial iterate from `x` and leaving
-    /// the final iterate there. `x_star` enables A-norm error telemetry
-    /// for solvers that support it.
-    ///
-    /// # Errors
-    /// Returns a [`SolveError`] describing the first violated input rule;
-    /// `x` is left untouched on rejection.
-    fn solve<O: RowAccess + Sync>(
-        &self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError>;
-}
-
-/// Value-level description of a square-system solver run: one variant per
-/// core solver family, dispatching to the matching entry point.
-#[derive(Debug, Clone)]
-pub enum SolverSpec {
-    /// Sequential Randomized Gauss-Seidel.
-    Rgs(crate::rgs::RgsOptions),
-    /// Asynchronous Randomized Gauss-Seidel (the paper's AsyRGS).
-    AsyRgs(crate::asyrgs::AsyRgsOptions),
-    /// Synchronous (damped) Jacobi.
-    Jacobi(crate::jacobi::JacobiOptions),
-    /// Asynchronous Jacobi (chaotic relaxation).
-    AsyncJacobi(crate::jacobi::JacobiOptions),
-    /// Block-partitioned (owner-computes) AsyRGS.
-    Partitioned(crate::partitioned::PartitionedOptions),
-}
-
-impl Solver for SolverSpec {
-    fn name(&self) -> &'static str {
-        match self {
-            SolverSpec::Rgs(_) => "rgs",
-            SolverSpec::AsyRgs(_) => "asyrgs",
-            SolverSpec::Jacobi(_) => "jacobi",
-            SolverSpec::AsyncJacobi(_) => "async_jacobi",
-            SolverSpec::Partitioned(_) => "partitioned",
-        }
-    }
-
-    fn solve<O: RowAccess + Sync>(
-        &self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError> {
-        match self {
-            SolverSpec::Rgs(o) => o.solve(a, b, x, x_star),
-            SolverSpec::AsyRgs(o) => o.solve(a, b, x, x_star),
-            SolverSpec::Jacobi(o) => o.solve(a, b, x, x_star),
-            SolverSpec::AsyncJacobi(o) => crate::jacobi::try_async_jacobi_solve(a, b, x, x_star, o),
-            SolverSpec::Partitioned(o) => o.solve(a, b, x, x_star),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1303,10 +1141,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "beta must lie in (0, 2)")]
     fn ensure_beta_display_preserves_historical_panic_text() {
-        // The deprecated `check_*` shims panic with exactly this Display
-        // text; pinning it here keeps the wrappers' messages stable
-        // without calling a deprecated entry point outside
-        // `tests/fingerprints.rs`.
+        // Callers that turn a rejection into a panic with
+        // `unwrap_or_else(|e| panic!("{e}"))` see exactly this Display text,
+        // the message the panicking validators printed before typed errors.
         ensure_beta(2.0).unwrap_or_else(|e| panic!("{e}"));
     }
 }

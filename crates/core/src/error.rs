@@ -3,10 +3,9 @@
 //! Historically each entry point `assert!`-panicked on bad input, which is
 //! unusable as a service boundary: a malformed request must surface as a
 //! value the caller can match on, log, and map to a protocol error, not as
-//! a thread abort. [`SolveError`] is that value. The deprecated free
-//! functions (`asyrgs_solve`, `rgs_solve`, …) preserve the historical
-//! behavior by panicking with the error's `Display` text, so old
-//! `should_panic` expectations keep matching verbatim.
+//! a thread abort. [`SolveError`] is that value. Its `Display` text keeps
+//! the historical panic messages, so a caller that still wants a panic can
+//! `unwrap_or_else(|e| panic!("{e}"))` and match the old text verbatim.
 //!
 //! Every variant corresponds to exactly one validation rule, checked
 //! **before** any output buffer is touched: a rejected solve leaves `x`
@@ -16,10 +15,9 @@ use std::fmt;
 
 /// Why a solve was rejected before any work was done.
 ///
-/// Returned by every `try_*` entry point, by
-/// [`Solver::solve`](crate::driver::Solver::solve), and by the session
-/// layer in the facade crate. The `Display` text of each variant matches
-/// the historical panic message of the `assert!` it replaced.
+/// Returned by every `*_solve_in` and `try_*` entry point and by the
+/// session layer in the facade crate. The `Display` text of each variant
+/// matches the historical panic message of the `assert!` it replaced.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SolveError {

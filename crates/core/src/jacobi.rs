@@ -9,8 +9,8 @@
 //! made classical asynchronous methods inapplicable to most matrices, and
 //! that randomization removes it. This module implements:
 //!
-//! * [`jacobi_solve`] — synchronous Jacobi;
-//! * [`async_jacobi_solve`] — lock-free asynchronous Jacobi in the same
+//! * [`jacobi_solve_in`] — synchronous Jacobi;
+//! * [`async_jacobi_solve_in`] — lock-free asynchronous Jacobi in the same
 //!   shared-memory style as AsyRGS (each thread sweeps over row blocks
 //!   reading the shared iterate);
 //! * [`chazan_miranker_condition`] — an estimate of `rho(|M|)` by power
@@ -25,7 +25,7 @@
 
 use crate::driver::{
     ensure_damping, ensure_finite_system, ensure_square_system, ensure_threads,
-    inverse_diag_nonzero_into, Driver, Recording, Solver, Termination,
+    inverse_diag_nonzero_into, Driver, Recording, Termination,
 };
 use crate::error::SolveError;
 use crate::health::{HealthConfig, HealthMonitor};
@@ -191,37 +191,6 @@ pub fn try_jacobi_solve<O: RowAccess>(
     opts: &JacobiOptions,
 ) -> Result<SolveReport, SolveError> {
     jacobi_solve_in(&mut SolveWorkspace::new(), a, b, x, x_star, opts)
-}
-
-/// Synchronous (damped) Jacobi: `x_{k+1} = x_k + damping * D^{-1}(b - A x_k)`.
-///
-/// # Panics
-/// Panics if `A` is not square, `b`/`x` have mismatched lengths, a
-/// diagonal entry is zero, or `damping` is outside `(0, 1]`.
-#[deprecated(note = "use `try_jacobi_solve` (typed errors) or the session API")]
-pub fn jacobi_solve<O: RowAccess>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &JacobiOptions,
-) -> SolveReport {
-    try_jacobi_solve(a, b, x, None, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-impl Solver for JacobiOptions {
-    fn name(&self) -> &'static str {
-        "jacobi"
-    }
-
-    fn solve<O: RowAccess + Sync>(
-        &self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError> {
-        try_jacobi_solve(a, b, x, x_star, self)
-    }
 }
 
 /// Asynchronous Jacobi (chaotic relaxation) on an injected worker pool and
@@ -403,66 +372,15 @@ pub fn try_async_jacobi_solve<O: RowAccess + Sync>(
     x_star: Option<&[f64]>,
     opts: &JacobiOptions,
 ) -> Result<SolveReport, SolveError> {
-    try_async_jacobi_solve_on(
+    async_jacobi_solve_in(
         &asyrgs_parallel::pool_for(opts.threads),
+        &mut SolveWorkspace::new(),
         a,
         b,
         x,
         x_star,
         opts,
     )
-}
-
-/// [`try_async_jacobi_solve`] on an injected worker pool (which must
-/// provide at least `opts.threads`-way concurrency).
-///
-/// # Errors
-/// See [`async_jacobi_solve_in`].
-pub fn try_async_jacobi_solve_on<O: RowAccess + Sync>(
-    pool: &WorkerPool,
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    x_star: Option<&[f64]>,
-    opts: &JacobiOptions,
-) -> Result<SolveReport, SolveError> {
-    async_jacobi_solve_in(pool, &mut SolveWorkspace::new(), a, b, x, x_star, opts)
-}
-
-/// Asynchronous Jacobi (chaotic relaxation).
-///
-/// # Panics
-/// Panics if `A` is not square, `b`/`x` have mismatched lengths, a
-/// diagonal entry is zero, `damping` is outside `(0, 1]`, or
-/// `threads == 0`.
-#[deprecated(
-    note = "use `try_async_jacobi_solve` (typed errors, A-norm telemetry) or the session API"
-)]
-pub fn async_jacobi_solve<O: RowAccess + Sync>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &JacobiOptions,
-) -> SolveReport {
-    try_async_jacobi_solve(a, b, x, None, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`async_jacobi_solve`] on an injected worker pool (which must provide
-/// at least `opts.threads`-way concurrency).
-///
-/// # Panics
-/// Panics on invalid input like [`async_jacobi_solve`].
-#[deprecated(
-    note = "use `try_async_jacobi_solve_on` (typed errors, A-norm telemetry) or the session API"
-)]
-pub fn async_jacobi_solve_on<O: RowAccess + Sync>(
-    pool: &WorkerPool,
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &JacobiOptions,
-) -> SolveReport {
-    try_async_jacobi_solve_on(pool, a, b, x, None, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// How many sweeps the lock-free solvers run between synchronization

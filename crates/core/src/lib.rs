@@ -6,8 +6,7 @@
 //!
 //! * [`driver`] — the shared solve driver every entry point consumes:
 //!   [`Termination`] (sweep budget, residual target, wall-clock budget),
-//!   [`Recording`] (residual cadence), and the [`Solver`] /
-//!   [`SolverSpec`] uniform-dispatch layer;
+//!   [`Recording`] (residual cadence), and the shared input validation;
 //! * [`rgs`] — sequential Randomized Gauss-Seidel (the synchronous
 //!   baseline, Section 3), single and multi-RHS;
 //! * [`asyrgs`] — **AsyRGS**, the asynchronous shared-memory solver
@@ -69,23 +68,22 @@ pub mod workspace;
 
 pub use asyrgs::{
     asyrgs_solve_block_in, asyrgs_solve_in, try_asyrgs_solve, try_asyrgs_solve_block,
-    try_asyrgs_solve_block_on, try_asyrgs_solve_on, AsyRgsOptions, ReadMode, WriteMode,
+    AsyRgsOptions, ReadMode, WriteMode,
 };
 pub use atomic::{AtomicF64, SharedVec};
-pub use driver::{Driver, Recording, Solver, SolverSpec, Termination};
+pub use driver::{Driver, Recording, Termination};
 pub use error::SolveError;
 pub use health::{HealthConfig, HealthMonitor, RecoveryPolicy};
 pub use jacobi::{
     async_jacobi_solve_in, chazan_miranker_condition, jacobi_solve_in, try_async_jacobi_solve,
-    try_async_jacobi_solve_on, try_jacobi_solve, JacobiOptions,
+    try_jacobi_solve, JacobiOptions,
 };
 pub use lsq::{
-    async_rcd_solve_in, rcd_solve_in, try_async_rcd_solve, try_async_rcd_solve_on, try_rcd_solve,
-    LsqOperator, LsqSolveOptions,
+    async_rcd_solve_in, rcd_solve_in, try_async_rcd_solve, try_rcd_solve, LsqOperator,
+    LsqSolveOptions,
 };
 pub use partitioned::{
-    partitioned_solve_in, try_partitioned_solve, try_partitioned_solve_on, PartitionedOptions,
-    PartitionedReport,
+    partitioned_solve_in, try_partitioned_solve, PartitionedOptions, PartitionedReport,
 };
 pub use policy::{
     MatrixProfile, PolicyDecision, PolicyFamily, PolicyPrecond, SolverPolicy, SpectralEvidence,
@@ -198,77 +196,6 @@ mod property_tests {
                     assert!(f > 0.0 && f < 1.0);
                 }
             }
-        }
-    }
-
-    /// Every SolverSpec variant drives the same dominant system to a
-    /// usable residual through uniform dispatch.
-    #[test]
-    fn solver_spec_uniform_dispatch() {
-        let n = 80;
-        let a = diag_dominant(n, 4, 2.5, 3);
-        let x_star = vec![1.0; n];
-        let b = a.matvec(&x_star);
-        let term = Termination::sweeps(80);
-        let specs = [
-            SolverSpec::Rgs(RgsOptions {
-                term: term.clone(),
-                ..Default::default()
-            }),
-            SolverSpec::AsyRgs(AsyRgsOptions {
-                threads: 2,
-                term: term.clone(),
-                ..Default::default()
-            }),
-            SolverSpec::Jacobi(JacobiOptions {
-                term: term.clone(),
-                ..Default::default()
-            }),
-            SolverSpec::AsyncJacobi(JacobiOptions {
-                threads: 2,
-                term: term.clone(),
-                ..Default::default()
-            }),
-            SolverSpec::Partitioned(PartitionedOptions {
-                threads: 2,
-                term: term.clone(),
-                ..Default::default()
-            }),
-        ];
-        for spec in &specs {
-            let mut x = vec![0.0; n];
-            let rep = spec.solve(&a, &b, &mut x, Some(&x_star)).unwrap();
-            assert!(
-                rep.final_rel_residual < 1e-2,
-                "{} residual {}",
-                spec.name(),
-                rep.final_rel_residual
-            );
-        }
-    }
-
-    /// Every SolverSpec variant rejects bad input with a typed error and
-    /// leaves the iterate untouched.
-    #[test]
-    fn solver_spec_uniform_rejection() {
-        let a = diag_dominant(8, 3, 2.0, 1);
-        let b = vec![1.0; 7]; // wrong length
-        let specs = [
-            SolverSpec::Rgs(RgsOptions::default()),
-            SolverSpec::AsyRgs(AsyRgsOptions::default()),
-            SolverSpec::Jacobi(JacobiOptions::default()),
-            SolverSpec::AsyncJacobi(JacobiOptions::default()),
-            SolverSpec::Partitioned(PartitionedOptions::default()),
-        ];
-        for spec in &specs {
-            let mut x = vec![3.5; 8];
-            let err = spec.solve(&a, &b, &mut x, None).unwrap_err();
-            assert!(
-                matches!(err, error::SolveError::DimensionMismatch { .. }),
-                "{}: {err}",
-                spec.name()
-            );
-            assert!(x.iter().all(|&v| v == 3.5), "{}: x mutated", spec.name());
         }
     }
 }

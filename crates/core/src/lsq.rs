@@ -218,21 +218,6 @@ pub fn try_rcd_solve(
     rcd_solve_in(&mut SolveWorkspace::new(), op, b, x, opts)
 }
 
-/// Sequential randomized coordinate descent, iteration (20).
-///
-/// # Panics
-/// Panics if `b`/`x` do not match the operator's dimensions or `beta` is
-/// outside `(0, 2)`.
-#[deprecated(note = "use `try_rcd_solve` (typed errors) or the session API")]
-pub fn rcd_solve(
-    op: &LsqOperator,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &LsqSolveOptions,
-) -> SolveReport {
-    try_rcd_solve(op, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Asynchronous worker for iteration (21).
 ///
 /// Iterations are claimed in batches of `claim` and their column draws
@@ -353,53 +338,14 @@ pub fn try_async_rcd_solve(
     x: &mut [f64],
     opts: &LsqSolveOptions,
 ) -> Result<SolveReport, SolveError> {
-    try_async_rcd_solve_on(&asyrgs_parallel::pool_for(opts.threads), op, b, x, opts)
-}
-
-/// [`try_async_rcd_solve`] on an injected worker pool (which must provide
-/// at least `opts.threads`-way concurrency).
-///
-/// # Errors
-/// See [`async_rcd_solve_in`].
-pub fn try_async_rcd_solve_on(
-    pool: &WorkerPool,
-    op: &LsqOperator,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &LsqSolveOptions,
-) -> Result<SolveReport, SolveError> {
-    async_rcd_solve_in(pool, &mut SolveWorkspace::new(), op, b, x, opts)
-}
-
-/// Asynchronous randomized coordinate descent for least squares.
-///
-/// # Panics
-/// Panics if `b`/`x` do not match the operator's dimensions, `beta` is
-/// outside `(0, 2)`, or `threads == 0`.
-#[deprecated(note = "use `try_async_rcd_solve` (typed errors) or the session API")]
-pub fn async_rcd_solve(
-    op: &LsqOperator,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &LsqSolveOptions,
-) -> SolveReport {
-    try_async_rcd_solve(op, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`async_rcd_solve`] on an injected worker pool (which must provide at
-/// least `opts.threads`-way concurrency).
-///
-/// # Panics
-/// Panics on invalid input like [`async_rcd_solve`].
-#[deprecated(note = "use `try_async_rcd_solve_on` (typed errors) or the session API")]
-pub fn async_rcd_solve_on(
-    pool: &WorkerPool,
-    op: &LsqOperator,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &LsqSolveOptions,
-) -> SolveReport {
-    try_async_rcd_solve_on(pool, op, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
+    async_rcd_solve_in(
+        &asyrgs_parallel::pool_for(opts.threads),
+        &mut SolveWorkspace::new(),
+        op,
+        b,
+        x,
+        opts,
+    )
 }
 
 #[cfg(test)]

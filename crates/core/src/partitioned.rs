@@ -33,7 +33,7 @@
 
 use crate::driver::{
     ensure_beta, ensure_finite_system, ensure_square_system, ensure_threads, inverse_diag_into,
-    Driver, Recording, Solver, Termination,
+    Driver, Recording, Termination,
 };
 use crate::error::SolveError;
 use crate::report::SolveReport;
@@ -210,70 +210,14 @@ pub fn try_partitioned_solve<O: RowAccess + Sync>(
     x: &mut [f64],
     opts: &PartitionedOptions,
 ) -> Result<PartitionedReport, SolveError> {
-    try_partitioned_solve_on(&asyrgs_parallel::pool_for(opts.threads), a, b, x, opts)
-}
-
-/// [`try_partitioned_solve`] on an injected worker pool (which must
-/// provide at least `opts.threads`-way concurrency).
-///
-/// # Errors
-/// See [`partitioned_solve_in`].
-pub fn try_partitioned_solve_on<O: RowAccess + Sync>(
-    pool: &WorkerPool,
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &PartitionedOptions,
-) -> Result<PartitionedReport, SolveError> {
-    partitioned_solve_in(pool, &mut SolveWorkspace::new(), a, b, x, opts)
-}
-
-/// Solve `A x = b` with block-partitioned AsyRGS.
-///
-/// # Panics
-/// Panics if `A` is not square, `b`/`x` have mismatched lengths, a
-/// diagonal entry is non-positive, `beta` is outside `(0, 2)`,
-/// `threads == 0`, or there are more blocks than unknowns.
-#[deprecated(note = "use `try_partitioned_solve` (typed errors) or the session API")]
-pub fn partitioned_solve<O: RowAccess + Sync>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &PartitionedOptions,
-) -> PartitionedReport {
-    try_partitioned_solve(a, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`partitioned_solve`] on an injected worker pool (which must provide at
-/// least `opts.threads`-way concurrency).
-///
-/// # Panics
-/// Panics on invalid input like [`partitioned_solve`].
-#[deprecated(note = "use `try_partitioned_solve_on` (typed errors) or the session API")]
-pub fn partitioned_solve_on<O: RowAccess + Sync>(
-    pool: &WorkerPool,
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &PartitionedOptions,
-) -> PartitionedReport {
-    try_partitioned_solve_on(pool, a, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-impl Solver for PartitionedOptions {
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn solve<O: RowAccess + Sync>(
-        &self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        _x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError> {
-        Ok(try_partitioned_solve(a, b, x, self)?.report)
-    }
+    partitioned_solve_in(
+        &asyrgs_parallel::pool_for(opts.threads),
+        &mut SolveWorkspace::new(),
+        a,
+        b,
+        x,
+        opts,
+    )
 }
 
 #[cfg(test)]

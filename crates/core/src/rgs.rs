@@ -19,7 +19,7 @@
 
 use crate::driver::{
     ensure_beta, ensure_finite_matrix, ensure_finite_slice, ensure_finite_system,
-    ensure_square_block_system, ensure_square_system, inverse_diag_into, Driver, Recording, Solver,
+    ensure_square_block_system, ensure_square_system, inverse_diag_into, Driver, Recording,
     Termination,
 };
 use crate::error::SolveError;
@@ -304,38 +304,6 @@ pub fn try_rgs_solve<O: RowAccess>(
     rgs_solve_in(&mut SolveWorkspace::new(), a, b, x, x_star, opts)
 }
 
-/// Solve `A x = b` by sequential Randomized Gauss-Seidel.
-///
-/// # Panics
-/// Panics if `A` is not square, `b`/`x` have mismatched lengths, a
-/// diagonal entry is non-positive, or `beta` is outside `(0, 2)`.
-#[deprecated(note = "use `try_rgs_solve` (typed errors) or the session API")]
-pub fn rgs_solve<O: RowAccess>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    x_star: Option<&[f64]>,
-    opts: &RgsOptions,
-) -> SolveReport {
-    try_rgs_solve(a, b, x, x_star, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-impl Solver for RgsOptions {
-    fn name(&self) -> &'static str {
-        "rgs"
-    }
-
-    fn solve<O: RowAccess + Sync>(
-        &self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError> {
-        try_rgs_solve(a, b, x, x_star, self)
-    }
-}
-
 /// Multi-RHS Randomized Gauss-Seidel on the caller's [`SolveWorkspace`]:
 /// solves `A X = B` for row-major blocks, all right-hand sides sharing the
 /// same random direction sequence (the paper solves its 51 systems
@@ -433,22 +401,6 @@ pub fn try_rgs_solve_block(
     opts: &RgsOptions,
 ) -> Result<SolveReport, SolveError> {
     rgs_solve_block_in(&mut SolveWorkspace::new(), a, b, x, opts)
-}
-
-/// Multi-RHS Randomized Gauss-Seidel: solves `A X = B` for row-major
-/// blocks.
-///
-/// # Panics
-/// Panics if `A` is not square, the blocks do not conform, a diagonal
-/// entry is non-positive, or `beta` is outside `(0, 2)`.
-#[deprecated(note = "use `try_rgs_solve_block` (typed errors) or the session API")]
-pub fn rgs_solve_block(
-    a: &CsrMatrix,
-    b: &RowMajorMat,
-    x: &mut RowMajorMat,
-    opts: &RgsOptions,
-) -> SolveReport {
-    try_rgs_solve_block(a, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

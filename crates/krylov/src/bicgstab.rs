@@ -27,7 +27,7 @@
 //! [`SolveError::Breakdown`] with the caller's `x` bitwise untouched: the
 //! iterate is advanced on workspace scratch and only copied out on success.
 
-use crate::precond::{IdentityPrecond, Preconditioner};
+use crate::precond::Preconditioner;
 use asyrgs_core::driver::{
     ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
 };
@@ -94,7 +94,7 @@ pub fn bicgstab_solve_in<O: LinearOperator + ?Sized, M: Preconditioner>(
     resize_scratch(&mut ws.aux4, n);
     resize_scratch(&mut ws.diff, n);
     // Working iterate: the caller's x is copied out only on success, so a
-    // typed breakdown leaves it bitwise untouched (invariant 9).
+    // typed breakdown leaves it bitwise untouched (invariant 8).
     let xw = &mut ws.snap;
     let r = &mut ws.resid;
     let rhat = &mut ws.shadow;
@@ -228,25 +228,10 @@ pub fn try_bicgstab_solve<O: LinearOperator + ?Sized, M: Preconditioner>(
     bicgstab_solve_in(&mut SolveWorkspace::new(), a, b, x, m, opts)
 }
 
-/// Solve `A x = b` by unpreconditioned BiCGSTAB — bitwise identical to
-/// passing [`IdentityPrecond`] to [`try_bicgstab_solve`] (it is the same
-/// code path; the identity application is a copy).
-///
-/// # Errors
-/// See [`bicgstab_solve_in`].
-pub fn try_bicgstab_solve_plain<O: LinearOperator + ?Sized>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &BicgstabOptions,
-) -> Result<SolveReport, SolveError> {
-    try_bicgstab_solve(a, b, x, &IdentityPrecond, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::JacobiPrecond;
+    use crate::precond::{IdentityPrecond, JacobiPrecond};
     use asyrgs_sparse::CsrMatrix;
     use asyrgs_workloads::laplace2d;
 
@@ -273,8 +258,14 @@ mod tests {
     fn solves_nonsymmetric_system() {
         let (a, b, x_star) = nonsym_problem(60);
         let mut x = vec![0.0; 60];
-        let rep = try_bicgstab_solve_plain(&a, &b, &mut x, &BicgstabOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let rep = try_bicgstab_solve(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &BicgstabOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.converged_early, "rel {}", rep.final_rel_residual);
         for (g, w) in x.iter().zip(&x_star) {
             assert!((g - w).abs() < 1e-6);
@@ -288,8 +279,14 @@ mod tests {
         let x_star: Vec<f64> = (0..n).map(|i| ((i * 3) % 11) as f64 / 11.0).collect();
         let b = a.matvec(&x_star);
         let mut x = vec![0.0; n];
-        let rep = try_bicgstab_solve_plain(&a, &b, &mut x, &BicgstabOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let rep = try_bicgstab_solve(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &BicgstabOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.converged_early);
         assert!(rep.final_rel_residual < 1e-7);
     }
@@ -305,29 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_precond_bitwise_equals_plain_entry_point() {
-        let (a, b, _) = nonsym_problem(40);
-        let mut x_plain = vec![0.0; 40];
-        let rep_plain = try_bicgstab_solve_plain(&a, &b, &mut x_plain, &BicgstabOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut x_id = vec![0.0; 40];
-        let rep_id = try_bicgstab_solve(
-            &a,
-            &b,
-            &mut x_id,
-            &IdentityPrecond,
-            &BicgstabOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(x_plain, x_id);
-        assert_eq!(rep_plain.iterations, rep_id.iterations);
-        assert_eq!(
-            rep_plain.final_rel_residual.to_bits(),
-            rep_id.final_rel_residual.to_bits()
-        );
-    }
-
-    #[test]
     fn skew_system_breaks_down_and_leaves_x_untouched() {
         // For skew-symmetric A with r_hat_0 = r_0 = b: (r_hat_0, A p) =
         // (b, A b) = 0 exactly, so the alpha denominator vanishes on the
@@ -335,8 +309,14 @@ mod tests {
         let a = CsrMatrix::from_dense(2, 2, &[0.0, 1.0, -1.0, 0.0]);
         let b = vec![1.0, 0.0];
         let mut x = vec![7.25, 7.25];
-        let err = try_bicgstab_solve_plain(&a, &b, &mut x, &BicgstabOptions::default())
-            .expect_err("skew system must break down");
+        let err = try_bicgstab_solve(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &BicgstabOptions::default(),
+        )
+        .expect_err("skew system must break down");
         assert!(
             matches!(err, SolveError::Breakdown { iteration: 1, .. }),
             "got {err:?}"
@@ -375,10 +355,11 @@ mod tests {
     fn respects_max_iters() {
         let (a, b, _) = nonsym_problem(100);
         let mut x = vec![0.0; 100];
-        let rep = try_bicgstab_solve_plain(
+        let rep = try_bicgstab_solve(
             &a,
             &b,
             &mut x,
+            &IdentityPrecond,
             &BicgstabOptions {
                 term: Termination::sweeps(2).with_target(1e-14),
                 ..Default::default()
@@ -396,10 +377,11 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut x = vec![0.0; 100];
-        let rep = try_bicgstab_solve_plain(
+        let rep = try_bicgstab_solve(
             &a,
             &b,
             &mut x,
+            &IdentityPrecond,
             &BicgstabOptions {
                 term: Termination::sweeps(1000)
                     .with_target(1e-12)
@@ -417,8 +399,14 @@ mod tests {
     fn rejects_mismatched_x_with_typed_error() {
         let (a, b, _) = nonsym_problem(4);
         let mut x = vec![0.0; 5];
-        let err = try_bicgstab_solve_plain(&a, &b, &mut x, &BicgstabOptions::default())
-            .expect_err("shape mismatch");
+        let err = try_bicgstab_solve(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &BicgstabOptions::default(),
+        )
+        .expect_err("shape mismatch");
         assert!(matches!(err, SolveError::DimensionMismatch { .. }));
     }
 
@@ -426,8 +414,14 @@ mod tests {
     fn nonzero_initial_guess_is_used() {
         let (a, b, x_star) = nonsym_problem(40);
         let mut x = x_star.clone();
-        let rep = try_bicgstab_solve_plain(&a, &b, &mut x, &BicgstabOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let rep = try_bicgstab_solve(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &BicgstabOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.converged_early);
         assert_eq!(rep.iterations, 0, "exact start must converge immediately");
         assert_eq!(x, x_star);

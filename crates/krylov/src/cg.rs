@@ -5,19 +5,19 @@
 //! round-robin manner", Section 9): each right-hand side carries its own
 //! scalar recurrences but all share the sparse matrix traversal.
 //!
-//! [`cg_solve`] is generic over [`LinearOperator`] — including unsized
+//! [`cg_solve_in`] is generic over [`LinearOperator`] — including unsized
 //! operators, so `&dyn LinearOperator` works — and routes stopping and
 //! recording through the shared [`asyrgs_core::driver`].
 
 use asyrgs_core::driver::{
     ensure_finite_slice, ensure_square_block_system, ensure_square_system, Driver, Recording,
-    Solver, Termination,
+    Termination,
 };
 use asyrgs_core::error::SolveError;
 use asyrgs_core::report::SolveReport;
 use asyrgs_core::workspace::{resize_scratch, SolveWorkspace};
 use asyrgs_sparse::dense::{self, RowMajorMat};
-use asyrgs_sparse::{CsrMatrix, LinearOperator, RowAccess};
+use asyrgs_sparse::{CsrMatrix, LinearOperator};
 
 /// Options for the CG solvers.
 #[derive(Debug, Clone)]
@@ -118,36 +118,6 @@ pub fn try_cg_solve<O: LinearOperator + ?Sized>(
     opts: &CgOptions,
 ) -> Result<SolveReport, SolveError> {
     cg_solve_in(&mut SolveWorkspace::new(), a, b, x, opts)
-}
-
-/// Solve `A x = b` (SPD `A`) by conjugate gradients.
-///
-/// # Panics
-/// Panics if `A` is not square or `b`/`x` have mismatched lengths.
-#[deprecated(note = "use `try_cg_solve` (typed errors) or the session API")]
-pub fn cg_solve<O: LinearOperator + ?Sized>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &CgOptions,
-) -> SolveReport {
-    try_cg_solve(a, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-impl Solver for CgOptions {
-    fn name(&self) -> &'static str {
-        "cg"
-    }
-
-    fn solve<O: RowAccess + Sync>(
-        &self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-        _x_star: Option<&[f64]>,
-    ) -> Result<SolveReport, SolveError> {
-        try_cg_solve(a, b, x, self)
-    }
 }
 
 /// Multi-RHS lockstep CG: solves `A X = B` with per-column scalar
@@ -286,20 +256,6 @@ pub fn try_cg_solve_block(
     );
     report.converged_early = all_frozen;
     Ok(report)
-}
-
-/// Multi-RHS lockstep CG: solves `A X = B`.
-///
-/// # Panics
-/// Panics if `A` is not square or the blocks do not conform.
-#[deprecated(note = "use `try_cg_solve_block` (typed errors) or the session API")]
-pub fn cg_solve_block(
-    a: &CsrMatrix,
-    b: &RowMajorMat,
-    x: &mut RowMajorMat,
-    opts: &CgOptions,
-) -> SolveReport {
-    try_cg_solve_block(a, b, x, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! This is FCG(1) — flexible CG with one direction retained — which is
 //! Notay's method without truncation/restarts.
 //!
-//! [`fcg_solve`] is generic over [`LinearOperator`] (including `&dyn`) and
+//! [`fcg_solve_in`] is generic over [`LinearOperator`] (including `&dyn`) and
 //! routes stopping and recording through the shared [`asyrgs_core::driver`].
 
 use crate::precond::Preconditioner;
@@ -177,23 +177,6 @@ pub fn try_fcg_solve<O: LinearOperator + ?Sized, M: Preconditioner>(
     opts: &FcgOptions,
 ) -> Result<SolveReport, SolveError> {
     fcg_solve_in(&mut SolveWorkspace::new(), a, b, x, m, opts)
-}
-
-/// Solve `A x = b` by Flexible-CG with the given (possibly variable)
-/// preconditioner.
-///
-/// # Panics
-/// Panics if `A` is not square, `b`/`x` have mismatched lengths, or the
-/// truncation depth is zero.
-#[deprecated(note = "use `try_fcg_solve` (typed errors) or the session API")]
-pub fn fcg_solve<O: LinearOperator + ?Sized, M: Preconditioner>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    opts: &FcgOptions,
-) -> SolveReport {
-    try_fcg_solve(a, b, x, m, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Summary row of the paper's Table 1: Flexible-CG with an AsyRGS

@@ -25,7 +25,7 @@
 //! simply convergence; otherwise the solve surfaces
 //! [`SolveError::Breakdown`] with the caller's `x` bitwise untouched.
 
-use crate::precond::{IdentityPrecond, Preconditioner};
+use crate::precond::Preconditioner;
 use asyrgs_core::driver::{
     ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
 };
@@ -106,7 +106,7 @@ pub fn gmres_solve_in<O: LinearOperator + ?Sized, M: Preconditioner>(
     resize_scratch_vecs(&mut ws.basis, mdim + 1, n);
     resize_scratch_vecs(&mut ws.flex_basis, mdim, n);
     // Working iterate: the caller's x is copied out only on success, so a
-    // typed breakdown leaves it bitwise untouched (invariant 9).
+    // typed breakdown leaves it bitwise untouched (invariant 8).
     let xw = &mut ws.snap;
     let r = &mut ws.resid;
     let w = &mut ws.aux;
@@ -255,28 +255,10 @@ pub fn try_gmres_solve<O: LinearOperator + ?Sized, M: Preconditioner>(
     gmres_solve_in(&mut SolveWorkspace::new(), a, b, x, m, opts)
 }
 
-/// Solve `A x = b` by unpreconditioned restarted GMRES(m) — bitwise
-/// identical to passing [`IdentityPrecond`] to [`try_gmres_solve`] (it is
-/// the same code path; the identity application is a copy).
-///
-/// # Errors
-/// See [`gmres_solve_in`].
-///
-/// # Panics
-/// Panics if the restart length is zero.
-pub fn try_gmres_solve_plain<O: LinearOperator + ?Sized>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &GmresOptions,
-) -> Result<SolveReport, SolveError> {
-    try_gmres_solve(a, b, x, &IdentityPrecond, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::JacobiPrecond;
+    use crate::precond::{IdentityPrecond, JacobiPrecond};
     use asyrgs_sparse::CsrMatrix;
     use asyrgs_workloads::laplace2d;
 
@@ -301,7 +283,7 @@ mod tests {
     fn solves_nonsymmetric_system() {
         let (a, b, x_star) = nonsym_problem(60);
         let mut x = vec![0.0; 60];
-        let rep = try_gmres_solve_plain(&a, &b, &mut x, &GmresOptions::default())
+        let rep = try_gmres_solve(&a, &b, &mut x, &IdentityPrecond, &GmresOptions::default())
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.converged_early, "rel {}", rep.final_rel_residual);
         for (g, w) in x.iter().zip(&x_star) {
@@ -316,7 +298,7 @@ mod tests {
         let x_star: Vec<f64> = (0..n).map(|i| ((i * 3) % 11) as f64 / 11.0).collect();
         let b = a.matvec(&x_star);
         let mut x = vec![0.0; n];
-        let rep = try_gmres_solve_plain(&a, &b, &mut x, &GmresOptions::default())
+        let rep = try_gmres_solve(&a, &b, &mut x, &IdentityPrecond, &GmresOptions::default())
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.converged_early);
         assert!(rep.final_rel_residual < 1e-7);
@@ -326,10 +308,11 @@ mod tests {
     fn small_restart_still_converges() {
         let (a, b, _) = nonsym_problem(50);
         let mut x = vec![0.0; 50];
-        let rep = try_gmres_solve_plain(
+        let rep = try_gmres_solve(
             &a,
             &b,
             &mut x,
+            &IdentityPrecond,
             &GmresOptions {
                 restart: 5,
                 ..Default::default()
@@ -350,29 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_precond_bitwise_equals_plain_entry_point() {
-        let (a, b, _) = nonsym_problem(40);
-        let mut x_plain = vec![0.0; 40];
-        let rep_plain = try_gmres_solve_plain(&a, &b, &mut x_plain, &GmresOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut x_id = vec![0.0; 40];
-        let rep_id = try_gmres_solve(
-            &a,
-            &b,
-            &mut x_id,
-            &IdentityPrecond,
-            &GmresOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(x_plain, x_id);
-        assert_eq!(rep_plain.iterations, rep_id.iterations);
-        assert_eq!(
-            rep_plain.final_rel_residual.to_bits(),
-            rep_id.final_rel_residual.to_bits()
-        );
-    }
-
-    #[test]
     fn exact_solve_within_one_cycle_on_tiny_system() {
         // n = 4 with restart 8: the Arnoldi space exhausts in at most 4
         // steps (happy breakdown) and the least-squares solve is exact.
@@ -389,7 +349,7 @@ mod tests {
         let x_star = vec![1.0, -2.0, 0.5, 3.0];
         let b = a.matvec(&x_star);
         let mut x = vec![0.0; 4];
-        let rep = try_gmres_solve_plain(&a, &b, &mut x, &GmresOptions::default())
+        let rep = try_gmres_solve(&a, &b, &mut x, &IdentityPrecond, &GmresOptions::default())
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.converged_early);
         assert!(rep.iterations <= 4);
@@ -451,10 +411,11 @@ mod tests {
     fn respects_max_iters_mid_cycle() {
         let (a, b, _) = nonsym_problem(100);
         let mut x = vec![0.0; 100];
-        let rep = try_gmres_solve_plain(
+        let rep = try_gmres_solve(
             &a,
             &b,
             &mut x,
+            &IdentityPrecond,
             &GmresOptions {
                 term: Termination::sweeps(7).with_target(1e-14),
                 restart: 5,
@@ -476,10 +437,11 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut x = vec![0.0; 100];
-        let rep = try_gmres_solve_plain(
+        let rep = try_gmres_solve(
             &a,
             &b,
             &mut x,
+            &IdentityPrecond,
             &GmresOptions {
                 term: Termination::sweeps(1000)
                     .with_target(1e-12)
@@ -502,10 +464,11 @@ mod tests {
         use std::time::Duration;
         let (a, b, _) = nonsym_problem(100);
         let mut x = vec![0.0; 100];
-        let rep = try_gmres_solve_plain(
+        let rep = try_gmres_solve(
             &a,
             &b,
             &mut x,
+            &IdentityPrecond,
             &GmresOptions {
                 term: Termination::sweeps(1_000_000)
                     .with_target(1e-12)
@@ -525,10 +488,11 @@ mod tests {
     fn rejects_zero_restart() {
         let (a, b, _) = nonsym_problem(4);
         let mut x = vec![0.0; 4];
-        try_gmres_solve_plain(
+        try_gmres_solve(
             &a,
             &b,
             &mut x,
+            &IdentityPrecond,
             &GmresOptions {
                 restart: 0,
                 ..Default::default()
@@ -541,7 +505,7 @@ mod tests {
     fn rejects_mismatched_x_with_typed_error() {
         let (a, b, _) = nonsym_problem(4);
         let mut x = vec![0.0; 5];
-        let err = try_gmres_solve_plain(&a, &b, &mut x, &GmresOptions::default())
+        let err = try_gmres_solve(&a, &b, &mut x, &IdentityPrecond, &GmresOptions::default())
             .expect_err("shape mismatch");
         assert!(matches!(err, SolveError::DimensionMismatch { .. }));
     }

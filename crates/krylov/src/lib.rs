@@ -23,12 +23,10 @@ pub mod fcg;
 pub mod gmres;
 pub mod precond;
 
-pub use bicgstab::{
-    bicgstab_solve_in, try_bicgstab_solve, try_bicgstab_solve_plain, BicgstabOptions,
-};
+pub use bicgstab::{bicgstab_solve_in, try_bicgstab_solve, BicgstabOptions};
 pub use cg::{cg_solve_in, try_cg_solve, try_cg_solve_block, CgOptions};
 pub use fcg::{fcg_asyrgs_summary, fcg_solve_in, try_fcg_solve, FcgOptions, FcgRunSummary};
-pub use gmres::{gmres_solve_in, try_gmres_solve, try_gmres_solve_plain, GmresOptions};
+pub use gmres::{gmres_solve_in, try_gmres_solve, GmresOptions};
 pub use precond::{AsyRgsPrecond, IdentityPrecond, JacobiPrecond, Preconditioner, RgsPrecond};
 
 #[cfg(test)]

@@ -80,9 +80,9 @@ impl Preconditioner for JacobiPrecond {
 pub struct RgsPrecond<'a, O: RowAccess = CsrMatrix> {
     a: &'a O,
     /// Sweeps per application.
-    pub inner_sweeps: usize,
+    inner_sweeps: usize,
     /// Step size.
-    pub beta: f64,
+    beta: f64,
     seed: u64,
     counter: AtomicU64,
     /// Reusable solve scratch: an outer FCG solve applies this operator
@@ -139,11 +139,12 @@ impl<O: RowAccess> Preconditioner for RgsPrecond<'_, O> {
 pub struct AsyRgsPrecond<'a, O: RowAccess + Sync = CsrMatrix> {
     a: &'a O,
     /// Sweeps per application ("inner sweeps" in Table 1).
-    pub inner_sweeps: usize,
-    /// Worker threads.
-    pub threads: usize,
+    inner_sweeps: usize,
+    /// Worker threads; `pool` is built `threads` wide in
+    /// [`new`](Self::new) and never narrower.
+    threads: usize,
     /// Step size.
-    pub beta: f64,
+    beta: f64,
     seed: u64,
     counter: AtomicU64,
     /// Worker pool held for the preconditioner's lifetime: an outer FCG
@@ -180,19 +181,9 @@ impl<O: RowAccess + Sync> Preconditioner for AsyRgsPrecond<'_, O> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         z.fill(0.0);
         let app = self.counter.fetch_add(1, Ordering::Relaxed);
-        // The public `threads` field may have been raised past the pool
-        // sized at construction; fall back to a fresh adequate pool for
-        // this application rather than tripping the pool's width assert.
-        let fallback;
-        let pool = if self.threads <= self.pool.concurrency() {
-            &self.pool
-        } else {
-            fallback = asyrgs_parallel::pool_for(self.threads);
-            &fallback
-        };
         let mut ws = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         asyrgs_solve_in(
-            pool,
+            &self.pool,
             &mut ws,
             self.a,
             r,

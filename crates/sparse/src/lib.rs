@@ -11,8 +11,6 @@
 //! * [`CsrMatrix`] — compressed sparse row matrices with serial and parallel
 //!   SpMV, multi-RHS SpMM, norms, and the paper's `rho` / `rho_2` quantities;
 //! * [`CscMatrix`] — column-access view for the least-squares solvers;
-//! * [`SellMatrix`] — opt-in SELL-style sorted/chunked row storage with
-//!   bitwise [`RowAccess`] parity to CSR ([`sell`]);
 //! * [`CooBuilder`] — triplet assembly with duplicate summation;
 //! * [`UnitDiagonal`] / [`UnitDiagonalView`] — the unit-diagonal rescaling
 //!   the paper's analysis assumes (Section 3, "Non-Unit Diagonal"),
@@ -30,7 +28,6 @@ pub mod error;
 pub mod io;
 pub mod op;
 pub mod scale;
-pub mod sell;
 
 pub use coo::CooBuilder;
 pub use csc::CscMatrix;
@@ -39,7 +36,6 @@ pub use dense::RowMajorMat;
 pub use error::{Result, SparseError};
 pub use op::{LinearOperator, RowAccess};
 pub use scale::{has_unit_diagonal, UnitDiagonal, UnitDiagonalView};
-pub use sell::{SellMatrix, SELL_ROW_DOT_PENALTY_BOUND};
 
 #[cfg(test)]
 mod property_tests {

@@ -38,9 +38,9 @@
 //! cancellation, deadlines, and progress streaming (it depends on this
 //! facade, so it is not re-exported here — see `crates/serve`).
 //!
-//! See `README.md` for a tour of the crates, `ARCHITECTURE.md` for the
-//! layer map and invariants, and the README migration table from the
-//! deprecated free functions.
+//! See `README.md` for a tour of the crates and its "Entry points" note on
+//! the three ways into each solver, and `ARCHITECTURE.md` for the layer
+//! map and invariants.
 //!
 //! ## Quickstart
 //!
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use asyrgs_core::asyrgs::{
         try_asyrgs_solve, try_asyrgs_solve_block, AsyRgsOptions, WriteMode,
     };
-    pub use asyrgs_core::driver::{Recording, Solver, SolverSpec, Termination};
+    pub use asyrgs_core::driver::{Recording, Termination};
     pub use asyrgs_core::error::SolveError;
     pub use asyrgs_core::health::{is_watchdog_trip, HealthConfig, HealthMonitor, RecoveryPolicy};
     pub use asyrgs_core::jacobi::{try_async_jacobi_solve, try_jacobi_solve, JacobiOptions};
@@ -141,19 +141,19 @@ mod facade_tests {
         let a = crate::workloads::laplace2d(4, 4);
         let b = vec![1.0; 16];
         let mut x = vec![0.0; 16];
-        let spec = SolverSpec::Rgs(RgsOptions {
+        let opts = RgsOptions {
             term,
             record: rec,
             ..Default::default()
-        });
-        let rep = spec.solve(&a, &b, &mut x, None).unwrap();
+        };
+        let rep = try_rgs_solve(&a, &b, &mut x, None, &opts).unwrap();
         assert_eq!(rep.records.len(), 1);
     }
 
     #[test]
     fn fallible_entry_points_reachable_through_prelude() {
-        // The prelude exposes only the fallible API; the deprecated
-        // wrappers live on in their modules for `tests/fingerprints.rs`.
+        // The prelude exposes only the fallible API: the session and the
+        // `try_*` one-shots.
         let a = crate::workloads::laplace2d(4, 4);
         let b = vec![1.0; 16];
         let mut x = vec![0.0; 16];

@@ -1,9 +1,9 @@
 //! The session API: one builder entry point, typed errors, reusable
 //! workspaces, multi-RHS batching.
 //!
-//! This is the service boundary of the workspace. Instead of 17 free
-//! functions that panic on bad input and re-allocate scratch on every
-//! call, a caller configures a [`SolverBuilder`] once,
+//! This is the service boundary of the workspace. Instead of picking one
+//! family's `try_*` one-shot, which re-allocates scratch on every call, a
+//! caller configures a [`SolverBuilder`] once,
 //! [`build`](SolverBuilder::build)s a [`SolveSession`], and then calls
 //! [`SolveSession::solve`] as many times
 //! as it likes:
@@ -57,8 +57,8 @@ use asyrgs_core::asyrgs::{
     asyrgs_solve_block_in, asyrgs_solve_in, AsyRgsOptions, ReadMode, WriteMode,
 };
 use asyrgs_core::driver::{
-    ensure_beta, ensure_damping, ensure_finite_matrix, ensure_square_system, ensure_threads,
-    Recording, Termination,
+    ensure_beta, ensure_damping, ensure_finite_matrix, ensure_finite_slice, ensure_square_system,
+    ensure_threads, Recording, Termination,
 };
 use asyrgs_core::error::SolveError;
 use asyrgs_core::health::{is_watchdog_trip, HealthConfig, RecoveryPolicy};
@@ -1245,8 +1245,11 @@ impl SolveSession {
     /// own final residual. The remaining families solve the systems
     /// sequentially through the same reusable workspace.
     ///
-    /// All inputs are validated **before** any solve starts: on error no
-    /// `x_i` is modified.
+    /// All inputs are validated **before** any solve starts: on a rejected
+    /// input no `x_i` is modified. A runtime error on system `i` (a
+    /// watchdog trip or a Krylov breakdown) in the families solved one
+    /// system at a time leaves `x_0 … x_{i-1}` solved and `x_i` onward
+    /// untouched; the batched RGS/AsyRGS run leaves every `x_i` untouched.
     ///
     /// # Errors
     /// [`SolveError::DimensionMismatch`] when `bs` and `xs` differ in
@@ -1312,10 +1315,17 @@ impl SolveSession {
         match self.config.family {
             SolverFamily::Rgs | SolverFamily::AsyRgs => self.solve_many_block(a, bs, xs),
             _ => {
-                // Validate-all-before-touching-anything still holds: the
-                // remaining per-solve checks (square, diagonal, config)
-                // depend only on `a` and the session, so run them once on
-                // the first system before mutating any x.
+                // Validate-all-before-touching-anything: each solve checks
+                // its own `b` and `x` for non-finite values, which would
+                // reject system `i` only after systems before it were
+                // solved in place, so check every pair here first. The
+                // remaining per-solve checks (square, diagonal, matrix
+                // values, config) depend only on `a` and the session, so
+                // the first solve runs them before mutating any x.
+                for (b, x) in bs.iter().zip(xs.iter()) {
+                    ensure_finite_slice("solve_many", "right-hand side b", b)?;
+                    ensure_finite_slice("solve_many", "initial iterate x", x)?;
+                }
                 let mut reports = Vec::with_capacity(bs.len());
                 for (b, x) in bs.iter().zip(xs.iter_mut()) {
                     reports.push(self.solve_inner(a, b, x, None)?);
@@ -1786,7 +1796,7 @@ mod tests {
     #[test]
     fn solve_many_matches_block_solver_bitwise() {
         // The batched path must be the block solver, not a loop: compare
-        // against rgs_solve_block on the packed matrices.
+        // against try_rgs_solve_block on the packed matrices.
         let (a, b, _) = problem(6);
         let n = a.n_rows();
         let b2 = vec![1.0; n];
@@ -1846,6 +1856,21 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SolveError::DimensionMismatch { .. }));
         // Neither x may have been touched, including the valid first one.
+        assert!(x1.iter().all(|&v| v == 5.0));
+        assert!(x2.iter().all(|&v| v == 5.0));
+
+        // A family solved one system at a time must also reject a
+        // non-finite later right-hand side before solving the first.
+        let mut nan_b = b.clone();
+        nan_b[3] = f64::NAN;
+        let mut session = SolverBuilder::new(SolverFamily::Cg).build().unwrap();
+        let err = session
+            .solve_many(&a, &[&b, &nan_b], &mut [&mut x1[..], &mut x2[..]])
+            .unwrap_err();
+        assert!(
+            matches!(err, SolveError::NonFiniteInput { index: 3, .. }),
+            "{err:?}"
+        );
         assert!(x1.iter().all(|&v| v == 5.0));
         assert!(x2.iter().all(|&v| v == 5.0));
     }

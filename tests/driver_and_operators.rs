@@ -127,33 +127,6 @@ fn wall_clock_budget_reported_across_solver_families() {
     assert!(r3.stopped_on_budget && r3.iterations == 1);
 }
 
-#[test]
-fn uniform_dispatch_through_solver_spec() {
-    // The SolverSpec enum runs every core solver family through one call
-    // site — the dispatch surface multi-backend work plugs into.
-    let (a, b) = spd_problem(80, 4);
-    for spec in [
-        SolverSpec::Rgs(RgsOptions {
-            term: Termination::sweeps(60),
-            ..Default::default()
-        }),
-        SolverSpec::AsyRgs(AsyRgsOptions {
-            threads: 2,
-            term: Termination::sweeps(60),
-            ..Default::default()
-        }),
-    ] {
-        let mut x = vec![0.0; 80];
-        let rep = spec.solve(&a, &b, &mut x, None).expect("solve failed");
-        assert!(
-            rep.final_rel_residual < 1e-2,
-            "{}: {}",
-            spec.name(),
-            rep.final_rel_residual
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Operator layer
 // ---------------------------------------------------------------------------

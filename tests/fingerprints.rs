@@ -2,9 +2,10 @@
 //! solver path, asserted against the table below. Refactors of the
 //! parallel runtime and the hot kernels must leave all 15 bit-identical.
 //!
-//! Deliberately exercises the **deprecated** free-function wrappers: their
-//! outputs must stay bitwise identical to the pre-session-API seed, which
-//! also pins the wrappers themselves to the fallible implementations.
+//! Each hash is computed twice: through the family's `try_*` one-shot, and
+//! through a `SolverBuilder` session configured with the same knobs (the
+//! route the serve scheduler and the benchmark run). Both must equal the
+//! committed table.
 //!
 //! Every matrix here has at most 150 unknowns, far below
 //! `PREFETCH_MIN_BYTES`, so these pin the plain (no prefetch) side of the
@@ -18,15 +19,9 @@
 //! table was recorded against glibc on x86_64 Linux; a libm that rounds
 //! one of those calls differently changes those two hashes and nothing
 //! else.
-#![allow(deprecated)]
 
-use asyrgs::core::asyrgs::{asyrgs_solve, asyrgs_solve_block};
-use asyrgs::core::jacobi::{async_jacobi_solve, jacobi_solve};
-use asyrgs::core::lsq::{async_rcd_solve, rcd_solve};
-use asyrgs::core::partitioned::partitioned_solve;
-use asyrgs::core::rgs::{rgs_solve, rgs_solve_block};
-use asyrgs::krylov::cg::cg_solve;
-use asyrgs::krylov::fcg::fcg_solve;
+use asyrgs::core::asyrgs::ReadMode;
+use asyrgs::core::rgs::RowSampling;
 use asyrgs::prelude::*;
 use asyrgs::workloads::{diag_dominant, laplace2d, random_lsq, LsqParams};
 
@@ -62,8 +57,69 @@ fn hash(xs: &[f64]) -> u64 {
     h
 }
 
-/// Run the 15 pinned solves, in order, and hash each final iterate.
-fn fingerprints() -> Vec<(&'static str, u64)> {
+/// A session configured with exactly the knobs of `o`.
+fn rgs_session(o: &RgsOptions) -> SolveSession {
+    SolverBuilder::new(SolverFamily::Rgs)
+        .beta(o.beta)
+        .seed(o.seed)
+        .sampling(o.sampling)
+        .term(o.term.clone())
+        .record(o.record)
+        .build()
+        .unwrap()
+}
+
+/// A session configured with exactly the knobs of `o`.
+fn asyrgs_session(o: &AsyRgsOptions) -> SolveSession {
+    let mut builder = SolverBuilder::new(SolverFamily::AsyRgs)
+        .beta(o.beta)
+        .threads(o.threads)
+        .seed(o.seed)
+        .sampling(o.sampling)
+        .write_mode(o.write_mode)
+        .read_mode(o.read_mode)
+        .term(o.term.clone())
+        .record(o.record);
+    if let Some(k) = o.epoch_sweeps {
+        builder = builder.epoch_sweeps(k);
+    }
+    builder.build().unwrap()
+}
+
+/// A session configured with exactly the knobs of `o`.
+fn jacobi_session(family: SolverFamily, o: &JacobiOptions) -> SolveSession {
+    SolverBuilder::new(family)
+        .threads(o.threads)
+        .damping(o.damping)
+        .term(o.term.clone())
+        .record(o.record)
+        .build()
+        .unwrap()
+}
+
+/// Solve the columns of `b_blk` through `session.solve_many` and repack
+/// the iterates row-major, the layout the block one-shots write.
+fn solve_many_packed(
+    session: &mut SolveSession,
+    a: &CsrMatrix,
+    b_blk: &RowMajorMat,
+) -> RowMajorMat {
+    let (n, k) = (b_blk.n_rows(), b_blk.n_cols());
+    let bs: Vec<Vec<f64>> = (0..k).map(|t| b_blk.col(t)).collect();
+    let b_refs: Vec<&[f64]> = bs.iter().map(|b| &b[..]).collect();
+    let mut xs = vec![vec![0.0; n]; k];
+    let mut x_refs: Vec<&mut [f64]> = xs.iter_mut().map(|x| &mut x[..]).collect();
+    session.solve_many(a, &b_refs, &mut x_refs).unwrap();
+    let mut x_blk = RowMajorMat::zeros(n, k);
+    for (t, x) in xs.iter().enumerate() {
+        x_blk.set_col(t, x);
+    }
+    x_blk
+}
+
+/// Run the 15 pinned solves, in order, and hash each final iterate: the
+/// name, the `try_*` hash, then the session hash.
+fn fingerprints() -> Vec<(&'static str, u64, u64)> {
     let mut out = Vec::new();
     let a = laplace2d(12, 12);
     let n = a.n_rows();
@@ -72,114 +128,111 @@ fn fingerprints() -> Vec<(&'static str, u64)> {
     let dd = diag_dominant(150, 5, 2.0, 7);
     let bd = dd.matvec(&vec![1.0; 150]);
 
-    {
-        let mut x = vec![0.0; n];
-        rgs_solve(
-            &a,
-            &b,
-            &mut x,
-            Some(&x_star),
-            &RgsOptions {
+    let rgs_cases = [
+        (
+            "rgs",
+            RgsOptions {
                 term: Termination::sweeps(9),
                 ..Default::default()
             },
-        );
-        out.push(("rgs", hash(&x)));
-    }
-    {
-        let mut x = vec![0.0; n];
-        rgs_solve(
-            &a,
-            &b,
-            &mut x,
+            Some(&x_star[..]),
+        ),
+        (
+            "rgs_weighted",
+            RgsOptions {
+                sampling: RowSampling::DiagonalWeighted,
+                term: Termination::sweeps(9),
+                ..Default::default()
+            },
             None,
-            &RgsOptions {
-                sampling: asyrgs::core::rgs::RowSampling::DiagonalWeighted,
-                term: Termination::sweeps(9),
-                ..Default::default()
-            },
-        );
-        out.push(("rgs_weighted", hash(&x)));
-    }
-    {
+        ),
+    ];
+    for (name, opts, reference) in rgs_cases {
         let mut x = vec![0.0; n];
-        asyrgs_solve(
-            &a,
-            &b,
-            &mut x,
-            Some(&x_star),
-            &AsyRgsOptions {
+        try_rgs_solve(&a, &b, &mut x, reference, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        let mut session = rgs_session(&opts);
+        match reference {
+            Some(xs) => session.solve_with_reference(&a, &b, &mut y, xs),
+            None => session.solve(&a, &b, &mut y),
+        }
+        .unwrap();
+        out.push((name, hash(&x), hash(&y)));
+    }
+
+    let asyrgs_cases = [
+        (
+            "asyrgs_t1",
+            AsyRgsOptions {
                 threads: 1,
                 term: Termination::sweeps(9),
                 ..Default::default()
             },
-        );
-        out.push(("asyrgs_t1", hash(&x)));
-    }
-    {
-        let mut x = vec![0.0; n];
-        asyrgs_solve(
-            &a,
-            &b,
-            &mut x,
-            None,
-            &AsyRgsOptions {
+            Some(&x_star[..]),
+        ),
+        (
+            "asyrgs_t1_epoch2",
+            AsyRgsOptions {
                 threads: 1,
                 epoch_sweeps: Some(2),
                 term: Termination::sweeps(9),
                 ..Default::default()
             },
-        );
-        out.push(("asyrgs_t1_epoch2", hash(&x)));
-    }
-    {
-        let mut x = vec![0.0; n];
-        asyrgs_solve(
-            &a,
-            &b,
-            &mut x,
             None,
-            &AsyRgsOptions {
+        ),
+        (
+            "asyrgs_t1_locked",
+            AsyRgsOptions {
                 threads: 1,
-                read_mode: asyrgs::core::asyrgs::ReadMode::LockedConsistent,
+                read_mode: ReadMode::LockedConsistent,
                 term: Termination::sweeps(9),
                 ..Default::default()
             },
-        );
-        out.push(("asyrgs_t1_locked", hash(&x)));
+            None,
+        ),
+    ];
+    for (name, opts, reference) in asyrgs_cases {
+        let mut x = vec![0.0; n];
+        try_asyrgs_solve(&a, &b, &mut x, reference, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        let mut session = asyrgs_session(&opts);
+        match reference {
+            Some(xs) => session.solve_with_reference(&a, &b, &mut y, xs),
+            None => session.solve(&a, &b, &mut y),
+        }
+        .unwrap();
+        out.push((name, hash(&x), hash(&y)));
     }
     {
+        let opts = AsyRgsOptions {
+            threads: 1,
+            term: Termination::sweeps(500).with_target(1e-6),
+            ..Default::default()
+        };
         let mut x = vec![0.0; 150];
-        asyrgs_solve(
-            &dd,
-            &bd,
-            &mut x,
-            None,
-            &AsyRgsOptions {
-                threads: 1,
-                term: Termination::sweeps(500).with_target(1e-6),
-                ..Default::default()
-            },
-        );
-        out.push(("asyrgs_t1_target", hash(&x)));
+        try_asyrgs_solve(&dd, &bd, &mut x, None, &opts).unwrap();
+        let mut y = vec![0.0; 150];
+        asyrgs_session(&opts).solve(&dd, &bd, &mut y).unwrap();
+        out.push(("asyrgs_t1_target", hash(&x), hash(&y)));
     }
     {
         let k = 2;
         let mut b_blk = RowMajorMat::zeros(n, k);
         b_blk.set_col(0, &b);
         b_blk.set_col(1, &vec![1.0; n]);
+        let opts = AsyRgsOptions {
+            threads: 1,
+            term: Termination::sweeps(7),
+            ..Default::default()
+        };
         let mut x_blk = RowMajorMat::zeros(n, k);
-        asyrgs_solve_block(
-            &a,
-            &b_blk,
-            &mut x_blk,
-            &AsyRgsOptions {
-                threads: 1,
-                term: Termination::sweeps(7),
-                ..Default::default()
-            },
-        );
-        out.push(("asyrgs_block_t1", hash(x_blk.as_slice())));
+        try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
+        let y_blk = solve_many_packed(&mut asyrgs_session(&opts), &a, &b_blk);
+        out.push((
+            "asyrgs_block_t1",
+            hash(x_blk.as_slice()),
+            hash(y_blk.as_slice()),
+        ));
     }
     {
         let k = 3;
@@ -188,58 +241,62 @@ fn fingerprints() -> Vec<(&'static str, u64)> {
             let col: Vec<f64> = (0..n).map(|i| ((i + t) % 5) as f64).collect();
             b_blk.set_col(t, &col);
         }
+        let opts = RgsOptions {
+            term: Termination::sweeps(7),
+            ..Default::default()
+        };
         let mut x_blk = RowMajorMat::zeros(n, k);
-        rgs_solve_block(
-            &a,
-            &b_blk,
-            &mut x_blk,
-            &RgsOptions {
-                term: Termination::sweeps(7),
-                ..Default::default()
-            },
-        );
-        out.push(("rgs_block", hash(x_blk.as_slice())));
+        try_rgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
+        let y_blk = solve_many_packed(&mut rgs_session(&opts), &a, &b_blk);
+        out.push(("rgs_block", hash(x_blk.as_slice()), hash(y_blk.as_slice())));
     }
     {
+        let opts = JacobiOptions {
+            term: Termination::sweeps(30),
+            ..Default::default()
+        };
         let mut x = vec![0.0; n];
-        jacobi_solve(
-            &a,
-            &b,
-            &mut x,
-            &JacobiOptions {
-                term: Termination::sweeps(30),
-                ..Default::default()
-            },
-        );
-        out.push(("jacobi", hash(&x)));
+        try_jacobi_solve(&a, &b, &mut x, None, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        jacobi_session(SolverFamily::Jacobi, &opts)
+            .solve(&a, &b, &mut y)
+            .unwrap();
+        out.push(("jacobi", hash(&x), hash(&y)));
     }
     {
+        let opts = JacobiOptions {
+            threads: 1,
+            term: Termination::sweeps(30),
+            ..Default::default()
+        };
         let mut x = vec![0.0; n];
-        async_jacobi_solve(
-            &a,
-            &b,
-            &mut x,
-            &JacobiOptions {
-                threads: 1,
-                term: Termination::sweeps(30),
-                ..Default::default()
-            },
-        );
-        out.push(("async_jacobi_t1", hash(&x)));
+        try_async_jacobi_solve(&a, &b, &mut x, None, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        jacobi_session(SolverFamily::AsyncJacobi, &opts)
+            .solve(&a, &b, &mut y)
+            .unwrap();
+        out.push(("async_jacobi_t1", hash(&x), hash(&y)));
     }
     {
+        let opts = PartitionedOptions {
+            threads: 1,
+            term: Termination::sweeps(40),
+            ..Default::default()
+        };
         let mut x = vec![0.0; n];
-        partitioned_solve(
-            &a,
-            &b,
-            &mut x,
-            &PartitionedOptions {
-                threads: 1,
-                term: Termination::sweeps(40),
-                ..Default::default()
-            },
-        );
-        out.push(("partitioned_t1", hash(&x)));
+        try_partitioned_solve(&a, &b, &mut x, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        SolverBuilder::new(SolverFamily::Partitioned)
+            .beta(opts.beta)
+            .threads(opts.threads)
+            .seed(opts.seed)
+            .term(opts.term.clone())
+            .record(opts.record)
+            .build()
+            .unwrap()
+            .solve(&a, &b, &mut y)
+            .unwrap();
+        out.push(("partitioned_t1", hash(&x), hash(&y)));
     }
     {
         let p = random_lsq(&LsqParams {
@@ -256,39 +313,66 @@ fn fingerprints() -> Vec<(&'static str, u64)> {
             record: Recording::end_only(),
             ..Default::default()
         };
-        let mut x_seq = vec![0.0; op.n_cols()];
-        rcd_solve(&op, &p.b, &mut x_seq, &opts);
-        out.push(("rcd", hash(&x_seq)));
-        let mut x_async = vec![0.0; op.n_cols()];
-        async_rcd_solve(&op, &p.b, &mut x_async, &opts);
-        out.push(("async_rcd_t1", hash(&x_async)));
+        let lsq_session = |family| {
+            SolverBuilder::new(family)
+                .beta(opts.beta)
+                .seed(opts.seed)
+                .threads(opts.threads)
+                .term(opts.term.clone())
+                .record(opts.record)
+                .build()
+                .unwrap()
+        };
+        let mut x = vec![0.0; op.n_cols()];
+        try_rcd_solve(&op, &p.b, &mut x, &opts).unwrap();
+        let mut y = vec![0.0; op.n_cols()];
+        lsq_session(SolverFamily::Rcd)
+            .solve_lsq(&op, &p.b, &mut y)
+            .unwrap();
+        out.push(("rcd", hash(&x), hash(&y)));
+        let mut x = vec![0.0; op.n_cols()];
+        try_async_rcd_solve(&op, &p.b, &mut x, &opts).unwrap();
+        let mut y = vec![0.0; op.n_cols()];
+        lsq_session(SolverFamily::AsyncRcd)
+            .solve_lsq(&op, &p.b, &mut y)
+            .unwrap();
+        out.push(("async_rcd_t1", hash(&x), hash(&y)));
     }
     {
+        let opts = CgOptions {
+            term: Termination::sweeps(25),
+            ..Default::default()
+        };
         let mut x = vec![0.0; n];
-        cg_solve(
-            &a,
-            &b,
-            &mut x,
-            &CgOptions {
-                term: Termination::sweeps(25),
-                ..Default::default()
-            },
-        );
-        out.push(("cg", hash(&x)));
+        try_cg_solve(&a, &b, &mut x, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        SolverBuilder::new(SolverFamily::Cg)
+            .term(opts.term.clone())
+            .record(opts.record)
+            .build()
+            .unwrap()
+            .solve(&a, &b, &mut y)
+            .unwrap();
+        out.push(("cg", hash(&x), hash(&y)));
     }
     {
+        let opts = FcgOptions {
+            term: Termination::sweeps(25),
+            ..Default::default()
+        };
         let mut x = vec![0.0; n];
-        fcg_solve(
-            &a,
-            &b,
-            &mut x,
-            &IdentityPrecond,
-            &FcgOptions {
-                term: Termination::sweeps(25),
-                ..Default::default()
-            },
-        );
-        out.push(("fcg", hash(&x)));
+        try_fcg_solve(&a, &b, &mut x, &IdentityPrecond, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        let mut builder = SolverBuilder::new(SolverFamily::Fcg)
+            .preconditioner(PrecondSpec::Identity)
+            .truncate(opts.truncate)
+            .term(opts.term.clone())
+            .record(opts.record);
+        if let Some(every) = opts.restart_every {
+            builder = builder.restart_every(every);
+        }
+        builder.build().unwrap().solve(&a, &b, &mut y).unwrap();
+        out.push(("fcg", hash(&x), hash(&y)));
     }
     out
 }
@@ -296,11 +380,27 @@ fn fingerprints() -> Vec<(&'static str, u64)> {
 #[test]
 fn fifteen_fingerprints_are_bitwise_unchanged() {
     let got = fingerprints();
-    if got != EXPECTED {
-        let mut table = String::from("path                 expected          got\n");
-        for (&(name, want), &(_, have)) in EXPECTED.iter().zip(&got) {
-            let mark = if have == want { "" } else { "  <- differs" };
-            table.push_str(&format!("{name:<20} {want:016x}  {have:016x}{mark}\n"));
+    let names: Vec<&str> = got.iter().map(|&(name, _, _)| name).collect();
+    let want: Vec<&str> = EXPECTED.iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, want, "fingerprint order changed");
+    let moved = got
+        .iter()
+        .zip(&EXPECTED)
+        .any(|(&(_, one_shot, session), &(_, expected))| {
+            one_shot != expected || session != expected
+        });
+    if moved {
+        let mut table =
+            String::from("path                 expected          try_*             session\n");
+        for (&(name, one_shot, session), &(_, expected)) in got.iter().zip(&EXPECTED) {
+            let mark = if one_shot == expected && session == expected {
+                ""
+            } else {
+                "  <- differs"
+            };
+            table.push_str(&format!(
+                "{name:<20} {expected:016x}  {one_shot:016x}  {session:016x}{mark}\n"
+            ));
         }
         panic!(
             "solver fingerprints moved; rcd and async_rcd_t1 also depend on \

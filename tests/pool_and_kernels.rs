@@ -130,8 +130,9 @@ fn pooled_asyrgs_single_thread_bitwise_matches_sequential_rgs() {
             for &w in &pool_widths() {
                 let pool = WorkerPool::new(w);
                 let mut x_async = vec![0.0; n];
-                asyrgs::core::try_asyrgs_solve_on(
+                asyrgs::core::asyrgs_solve_in(
                     &pool,
+                    &mut SolveWorkspace::new(),
                     &a,
                     &b,
                     &mut x_async,
@@ -162,8 +163,9 @@ fn pooled_async_jacobi_single_thread_reproducible_across_pools() {
     let b = a.matvec(&vec![1.0; n]);
     let run = |pool: &WorkerPool| {
         let mut x = vec![0.0; n];
-        asyrgs::core::try_async_jacobi_solve_on(
+        asyrgs::core::async_jacobi_solve_in(
             pool,
+            &mut SolveWorkspace::new(),
             &a,
             &b,
             &mut x,
@@ -191,8 +193,9 @@ fn pooled_partitioned_single_block_reproducible_across_pools() {
     let b = a.matvec(&vec![1.0; n]);
     let run = |pool: &WorkerPool| {
         let mut x = vec![0.0; n];
-        asyrgs::core::try_partitioned_solve_on(
+        asyrgs::core::partitioned_solve_in(
             pool,
+            &mut SolveWorkspace::new(),
             &a,
             &b,
             &mut x,
@@ -223,8 +226,9 @@ fn pooled_async_rcd_single_thread_bitwise_matches_across_pools() {
     let op = LsqOperator::new(p.a);
     let run = |pool: &WorkerPool| {
         let mut x = vec![0.0; op.n_cols()];
-        asyrgs::core::try_async_rcd_solve_on(
+        asyrgs::core::async_rcd_solve_in(
             pool,
+            &mut SolveWorkspace::new(),
             &op,
             &p.b,
             &mut x,
@@ -269,8 +273,9 @@ fn pooled_block_solve_single_thread_bitwise_matches_sequential() {
     for &w in &pool_widths() {
         let pool = WorkerPool::new(w);
         let mut x_async = RowMajorMat::zeros(n, k);
-        asyrgs::core::try_asyrgs_solve_block_on(
+        asyrgs::core::asyrgs_solve_block_in(
             &pool,
+            &mut SolveWorkspace::new(),
             &a,
             &b_blk,
             &mut x_async,
@@ -298,8 +303,9 @@ fn multithreaded_pooled_solvers_still_converge() {
     let pool = WorkerPool::new(4);
 
     let mut x = vec![0.0; n];
-    let rep = asyrgs::core::try_asyrgs_solve_on(
+    let rep = asyrgs::core::asyrgs_solve_in(
         &pool,
+        &mut SolveWorkspace::new(),
         &a,
         &b,
         &mut x,
@@ -314,8 +320,9 @@ fn multithreaded_pooled_solvers_still_converge() {
     assert!(rep.final_rel_residual < 1e-3, "{}", rep.final_rel_residual);
 
     let mut x = vec![0.0; n];
-    let rep = asyrgs::core::try_partitioned_solve_on(
+    let rep = asyrgs::core::partitioned_solve_in(
         &pool,
+        &mut SolveWorkspace::new(),
         &a,
         &b,
         &mut x,
@@ -333,8 +340,9 @@ fn multithreaded_pooled_solvers_still_converge() {
     );
 
     let mut x = vec![0.0; n];
-    let rep = asyrgs::core::try_async_jacobi_solve_on(
+    let rep = asyrgs::core::async_jacobi_solve_in(
         &pool,
+        &mut SolveWorkspace::new(),
         &a,
         &b,
         &mut x,
@@ -370,10 +378,26 @@ fn solver_epochs_on_shared_global_pool_are_isolated() {
     try_asyrgs_solve(&a2, &b2, &mut x2_global, None, &opts).expect("solve failed");
     let mut x1_own = vec![0.0; 90];
     let mut x2_own = vec![0.0; 130];
-    asyrgs::core::try_asyrgs_solve_on(&WorkerPool::new(2), &a1, &b1, &mut x1_own, None, &opts)
-        .expect("solve failed");
-    asyrgs::core::try_asyrgs_solve_on(&WorkerPool::new(2), &a2, &b2, &mut x2_own, None, &opts)
-        .expect("solve failed");
+    asyrgs::core::asyrgs_solve_in(
+        &WorkerPool::new(2),
+        &mut SolveWorkspace::new(),
+        &a1,
+        &b1,
+        &mut x1_own,
+        None,
+        &opts,
+    )
+    .expect("solve failed");
+    asyrgs::core::asyrgs_solve_in(
+        &WorkerPool::new(2),
+        &mut SolveWorkspace::new(),
+        &a2,
+        &b2,
+        &mut x2_own,
+        None,
+        &opts,
+    )
+    .expect("solve failed");
     assert_eq!(x1_global, x1_own);
     assert_eq!(x2_global, x2_own);
 }

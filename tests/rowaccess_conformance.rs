@@ -14,8 +14,7 @@ mod common;
 
 use asyrgs::session::{operator_is_symmetric, SYMMETRY_TOL};
 use asyrgs::sparse::{
-    CooBuilder, CsrMatrix, LinearOperator, RowAccess, RowMajorMat, SellMatrix, UnitDiagonal,
-    UnitDiagonalView,
+    CooBuilder, CsrMatrix, LinearOperator, RowAccess, RowMajorMat, UnitDiagonal, UnitDiagonalView,
 };
 
 /// Deterministic dense probe vector with mixed signs and magnitudes.
@@ -137,48 +136,6 @@ fn reference_delegation_is_transparent() {
     // `&T` must forward every RowAccess method unchanged.
     let m = ragged();
     assert_conformant(&m, &&m, "csr-vs-&csr");
-}
-
-#[test]
-fn csr_and_sell_agree_on_ragged_shapes() {
-    // SELL storage permutes rows into sorted chunks internally, but the
-    // logical RowAccess surface must be bitwise indistinguishable from CSR.
-    let m = ragged();
-    let s = SellMatrix::from(&m);
-    assert_conformant(&m, &s, "ragged csr-vs-sell");
-    assert_eq!(s.nnz(), m.nnz(), "sell preserves nnz");
-}
-
-#[test]
-fn csr_and_sell_agree_on_spd_workloads() {
-    let (a, _, _) = common::laplace_problem(6);
-    assert_conformant(&a, &SellMatrix::from(&a), "laplace2d csr-vs-sell");
-    let (spd, _) = common::spd_problem(40);
-    assert_conformant(&spd, &SellMatrix::from(&spd), "diag_dominant csr-vs-sell");
-}
-
-#[test]
-fn sell_solves_match_csr_solves_bitwise() {
-    // End to end: a single-thread AsyRGS solve over the SELL backend must
-    // produce the same iterate bits as the CSR backend, because every
-    // row_dot along the trajectory is bitwise identical.
-    let (a, b, _) = common::laplace_problem(5);
-    let u = UnitDiagonal::from_spd(&a).expect("SPD");
-    let sell = SellMatrix::from(&u.a);
-    let opts = asyrgs::core::asyrgs::AsyRgsOptions {
-        seed: 41,
-        term: asyrgs::core::driver::Termination::sweeps(30),
-        threads: 1,
-        ..Default::default()
-    };
-    let mut x_csr = vec![0.0; b.len()];
-    let mut x_sell = vec![0.0; b.len()];
-    asyrgs::core::asyrgs::try_asyrgs_solve(&u.a, &b, &mut x_csr, None, &opts).expect("csr solve");
-    asyrgs::core::asyrgs::try_asyrgs_solve(&sell, &b, &mut x_sell, None, &opts)
-        .expect("sell solve");
-    for (c, s) in x_csr.iter().zip(&x_sell) {
-        assert_eq!(c.to_bits(), s.to_bits(), "iterate bits diverge");
-    }
 }
 
 #[test]
