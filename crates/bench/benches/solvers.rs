@@ -10,9 +10,10 @@ use asyrgs_core::asyrgs::{try_asyrgs_solve, AsyRgsOptions, WriteMode};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::lsq::{try_rcd_solve, LsqOperator, LsqSolveOptions};
 use asyrgs_core::rgs::{try_rgs_solve, RgsOptions};
+use asyrgs_core::workspace::SolveWorkspace;
 use asyrgs_krylov::cg::{try_cg_solve, CgOptions};
 use asyrgs_krylov::fcg::{try_fcg_solve, FcgOptions};
-use asyrgs_krylov::precond::AsyRgsPrecond;
+use asyrgs_krylov::precond::{PrecondSpec, SpecPrecond};
 use asyrgs_workloads::{laplace2d, random_lsq, LsqParams};
 
 fn setup() -> (asyrgs_sparse::CsrMatrix, Vec<f64>) {
@@ -114,7 +115,10 @@ fn bench_to_tolerance() {
         black_box(x);
     });
     bench("solve_to_1e-6/fcg_asyrgs_2sweeps_2t", || {
-        let pre = AsyRgsPrecond::new(&a, 2, 2, 1.0, 5);
+        let pool = asyrgs_parallel::pool_for(2);
+        let scratch = std::sync::Mutex::new(SolveWorkspace::new());
+        let spec = PrecondSpec::AsyRgs { inner_sweeps: 2 };
+        let pre = SpecPrecond::new(&a, spec, 2, 1.0, 5, &pool, &scratch).expect("valid");
         let mut x = vec![0.0; n];
         try_fcg_solve(
             &a,

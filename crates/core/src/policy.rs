@@ -59,7 +59,8 @@ pub enum PolicyFamily {
     Bicgstab,
     /// Restarted GMRES — nonsymmetric systems whose Jacobi iteration
     /// matrix has a large spectral radius (BiCGSTAB's shadow recurrences
-    /// carry no guarantee there); monotone and breakdown-free.
+    /// carry no guarantee there) or whose diagonal is not positive, and
+    /// symmetric indefinite ones; monotone and breakdown-free.
     Gmres,
     /// Randomized coordinate descent on the normal equations — tall
     /// least-squares inputs.
@@ -80,8 +81,11 @@ impl PolicyFamily {
     }
 }
 
-/// Preconditioner spec a policy decision can select (mirrors the session
-/// layer's `PrecondSpec` without depending on it).
+/// Preconditioner spec a policy decision can select: the subset of
+/// `asyrgs_krylov::PrecondSpec` (re-exported as
+/// `asyrgs::session::PrecondSpec`) the rules pick, without the RGS sweeps.
+/// A type of its own because `asyrgs-krylov` depends on this crate, and
+/// because it limits the picks by type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyPrecond {
     /// No preconditioning.
@@ -247,8 +251,9 @@ pub struct PolicyDecision {
     /// the machine or the global pool width — decisions must not change
     /// between a laptop and a 128-core box.
     pub threads: usize,
-    /// Name of the rule that fired (`"lsq-tall"`, `"nonsym-stiff"`,
-    /// `"nonsym-dominant"`, `"spd-illcond"`, `"spd"`, `"sym-indefinite"`).
+    /// Name of the rule that fired (`"lsq-tall"`, `"nonsym-indefinite"`,
+    /// `"nonsym-stiff"`, `"nonsym-dominant"`, `"sym-indefinite"`,
+    /// `"spd-illcond"`, `"spd"`).
     pub rule: &'static str,
     /// The fallback chain: families the recovery ladder should try, in
     /// order, if the selected one breaks down.
@@ -297,23 +302,21 @@ impl SolverPolicy {
     /// pick for this profile. False in three cases:
     ///
     /// * `rows > cols` — `lsq-tall` fires on shape alone;
-    /// * symmetric with a non-positive diagonal — `sym-indefinite` fires
-    ///   before any κ rule;
+    /// * a non-positive diagonal — `nonsym-indefinite` or
+    ///   `sym-indefinite` fires on the sign alone, before any ρ or κ rule;
     /// * symmetric with `kappa_bound < kappa_flex` — the Gershgorin
     ///   certificate: the probe's κ̂ is a ratio of Ritz values and
     ///   Rayleigh quotients, all inside `[λ_min, λ_max]`, so
     ///   `κ̂ <= κ <= kappa_bound < kappa_flex` (up to rounding) and `spd`
     ///   fires whatever the probe returns, as it does with no probe.
     ///
-    /// True otherwise, including for every nonsymmetric square input.
+    /// True otherwise, including for every nonsymmetric square input with
+    /// a positive diagonal.
     pub fn needs_probe(&self, profile: &MatrixProfile) -> bool {
-        if profile.rows > profile.cols {
+        if profile.rows > profile.cols || !profile.positive_diagonal {
             return false;
         }
-        if !profile.symmetric {
-            return true;
-        }
-        profile.positive_diagonal && !profile.kappa_bound.is_some_and(|k| k < self.kappa_flex)
+        !profile.symmetric || !profile.kappa_bound.is_some_and(|k| k < self.kappa_flex)
     }
 
     /// Decide the solver configuration for a profiled matrix.
@@ -324,6 +327,7 @@ impl SolverPolicy {
     /// | rule | condition | pick |
     /// |------|-----------|------|
     /// | `lsq-tall` | `rows > cols` | RCD, no preconditioner |
+    /// | `nonsym-indefinite` | nonsymmetric, non-positive diagonal | GMRES, identity |
     /// | `nonsym-stiff` | nonsymmetric and `rho >= rho_stiff` (or, with no probe, margin `<= margin_stiff`) | GMRES, identity |
     /// | `nonsym-dominant` | nonsymmetric | BiCGSTAB + AsyRGS right preconditioner, 2 threads |
     /// | `sym-indefinite` | symmetric, non-positive diagonal | GMRES, identity |
@@ -355,6 +359,18 @@ impl SolverPolicy {
             );
         }
         if !profile.symmetric {
+            if !profile.positive_diagonal {
+                // The AsyRGS sweeps of `nonsym-dominant` need a positive
+                // diagonal, so the sign alone routes to GMRES, as
+                // `sym-indefinite` does below.
+                return base(
+                    PolicyFamily::Gmres,
+                    PolicyPrecond::Identity,
+                    1,
+                    "nonsym-indefinite",
+                    vec![],
+                );
+            }
             let stiff = match profile.spectral.rho_jacobi {
                 Some(rho) => !rho.is_finite() || rho >= self.rho_stiff,
                 None => profile
@@ -445,10 +461,14 @@ mod tests {
         // Certified: bound 3 < kappa_flex.
         let spd = MatrixProfile::structural(&spd3()).unwrap();
         assert!(!policy.needs_probe(&spd));
-        // Every nonsymmetric square input probes, dominant or not.
+        // Every nonsymmetric square input with a positive diagonal
+        // probes, dominant or not; `nonsym-indefinite` fires on the sign.
         let nonsym = profile(&[4.0, 1.0, -1.0, 4.0], 2);
         assert!(!nonsym.symmetric && nonsym.kappa_bound.is_none());
         assert!(policy.needs_probe(&nonsym));
+        let nonsym_indef = profile(&[-4.0, 1.0, 0.5, 4.0], 2);
+        assert!(!nonsym_indef.symmetric && !nonsym_indef.positive_diagonal);
+        assert!(!policy.needs_probe(&nonsym_indef));
         // A disc touching 0 certifies nothing.
         let weak = profile(&[1.0, -1.0, -1.0, 3.0], 2);
         assert!(weak.symmetric && weak.positive_diagonal && weak.kappa_bound.is_none());
@@ -555,6 +575,28 @@ mod tests {
         let p = MatrixProfile::structural(&weak).unwrap();
         let d = SolverPolicy::default().decide(&p);
         assert_eq!((d.family, d.rule), (PolicyFamily::Gmres, "nonsym-stiff"));
+    }
+
+    #[test]
+    fn nonsym_with_a_non_positive_diagonal_routes_to_gmres_whatever_rho() {
+        let a = CsrMatrix::from_dense(2, 2, &[-4.0, 1.0, 0.5, 4.0]);
+        let p = MatrixProfile::structural(&a).unwrap();
+        let policy = SolverPolicy::default();
+        for rho_jacobi in [None, Some(0.1), Some(10.0)] {
+            let d = policy.decide(&p.with_spectral(SpectralEvidence {
+                rho_jacobi,
+                ..Default::default()
+            }));
+            assert_eq!(
+                (d.family, d.rule, d.precond, d.threads),
+                (
+                    PolicyFamily::Gmres,
+                    "nonsym-indefinite",
+                    PolicyPrecond::Identity,
+                    1
+                )
+            );
+        }
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //! ```
 //!
 //! Right preconditioning keeps the recurrence residual equal to the *true*
-//! residual of `A x = b`, and because every `M^{-1}` application feeds an
-//! immediately-consumed direction, a variable preconditioner such as
-//! [`crate::precond::AsyRgsPrecond`] drops in without a flexible-variant
-//! rewrite (the per-application change is absorbed the same way FCG
-//! absorbs it).
+//! residual of `A x = b`. BiCGSTAB is not flexible: its recurrence
+//! assumes every `M^{-1}` application is the same linear operator, and a
+//! preconditioner that changes between applications (fresh randomized
+//! sweeps per call) breaks it: the solve ends its budget far from the
+//! target, or diverges. So the solver applies `M^{-1}` through
+//! [`Preconditioner::apply_fixed`]; for the RGS/AsyRGS specs of
+//! [`crate::precond::SpecPrecond`] that pins one direction substream and
+//! starts the sweeps from `D^{-1} r`, a fixed linear map. A
+//! preconditioner that should vary needs a flexible method:
+//! [`crate::fcg`] for SPD systems, [`crate::gmres`] otherwise.
 //!
 //! Breakdown (`rho`, the `alpha` denominator `(r_hat_0, v)`, or `omega`'s
 //! denominator `(t, t)` collapsing to numerical zero) surfaces as
@@ -144,7 +149,7 @@ pub fn bicgstab_solve_in<O: LinearOperator + ?Sized, M: Preconditioner>(
                 }
             }
             rho = rho_next;
-            m.apply(p, ph);
+            m.apply_fixed(p, ph);
             a.matvec_into(ph, v);
             let rv = dense::dot(rhat, v);
             let norm_v = dense::norm2(v).max(f64::MIN_POSITIVE);
@@ -177,7 +182,7 @@ pub fn bicgstab_solve_in<O: LinearOperator + ?Sized, M: Preconditioner>(
                 driver.observe(it, it as u64, norm_s / norm_b, None);
                 break;
             }
-            m.apply(r, sh);
+            m.apply_fixed(r, sh);
             a.matvec_into(sh, t);
             let tt = dense::dot(t, t);
             if tt <= f64::MIN_POSITIVE {
@@ -231,7 +236,7 @@ pub fn try_bicgstab_solve<O: LinearOperator + ?Sized, M: Preconditioner>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{IdentityPrecond, JacobiPrecond};
+    use crate::precond::{IdentityPrecond, PrecondSpec, SpecPrecond};
     use asyrgs_sparse::CsrMatrix;
     use asyrgs_workloads::laplace2d;
 
@@ -294,7 +299,9 @@ mod tests {
     #[test]
     fn jacobi_preconditioning_converges() {
         let (a, b, _) = nonsym_problem(80);
-        let pre = JacobiPrecond::new(&a);
+        let scratch = std::sync::Mutex::new(SolveWorkspace::new());
+        let pool = asyrgs_parallel::global();
+        let pre = SpecPrecond::new(&a, PrecondSpec::Jacobi, 1, 1.0, 0, pool, &scratch).unwrap();
         let mut x = vec![0.0; 80];
         let rep = try_bicgstab_solve(&a, &b, &mut x, &pre, &BicgstabOptions::default())
             .unwrap_or_else(|e| panic!("{e}"));

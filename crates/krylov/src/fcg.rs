@@ -21,7 +21,7 @@
 //! [`fcg_solve_in`] is generic over [`LinearOperator`] (including `&dyn`) and
 //! routes stopping and recording through the shared [`asyrgs_core::driver`].
 
-use crate::precond::Preconditioner;
+use crate::precond::{PrecondSpec, Preconditioner, SpecPrecond};
 use asyrgs_core::driver::{
     ensure_finite_slice, ensure_square_system, Driver, Recording, Termination,
 };
@@ -30,6 +30,7 @@ use asyrgs_core::report::SolveReport;
 use asyrgs_core::workspace::{resize_scratch, SolveWorkspace};
 use asyrgs_sparse::dense;
 use asyrgs_sparse::{CsrMatrix, LinearOperator};
+use std::sync::Mutex;
 
 /// Options for Flexible-CG.
 #[derive(Debug, Clone)]
@@ -208,8 +209,12 @@ pub fn fcg_asyrgs_summary(
 ) -> FcgRunSummary {
     let n = a.n_rows();
     let mut x = vec![0.0; n];
-    let pre = crate::precond::AsyRgsPrecond::new(a, inner_sweeps, threads, beta, seed);
-    let rep = try_fcg_solve(a, b, &mut x, &pre, opts).unwrap_or_else(|e| panic!("{e}"));
+    let pool = asyrgs_parallel::pool_for(threads);
+    let scratch = Mutex::new(SolveWorkspace::new());
+    let spec = PrecondSpec::AsyRgs { inner_sweeps };
+    let rep = SpecPrecond::new(a, spec, threads, beta, seed, &pool, &scratch)
+        .and_then(|pre| try_fcg_solve(a, b, &mut x, &pre, opts))
+        .unwrap_or_else(|e| panic!("{e}"));
     FcgRunSummary {
         inner_sweeps,
         outer_iters: rep.iterations as usize,
@@ -223,7 +228,7 @@ pub fn fcg_asyrgs_summary(
 mod tests {
     use super::*;
     use crate::cg::{try_cg_solve, CgOptions};
-    use crate::precond::{AsyRgsPrecond, IdentityPrecond, JacobiPrecond, RgsPrecond};
+    use crate::precond::IdentityPrecond;
     use asyrgs_workloads::laplace2d;
 
     fn problem(side: usize) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
@@ -232,6 +237,24 @@ mod tests {
         let x_star: Vec<f64> = (0..n).map(|i| ((i * 3) % 11) as f64 / 11.0).collect();
         let b = a.matvec(&x_star);
         (a, b, x_star)
+    }
+
+    /// FCG on `a x = b` from zero under `spec` at `threads` threads,
+    /// beta 1 and the given seed.
+    fn fcg_with(
+        a: &CsrMatrix,
+        b: &[f64],
+        spec: PrecondSpec,
+        threads: usize,
+        seed: u64,
+        opts: &FcgOptions,
+    ) -> (Vec<f64>, SolveReport) {
+        let pool = asyrgs_parallel::pool_for(threads);
+        let scratch = Mutex::new(SolveWorkspace::new());
+        let pre = SpecPrecond::new(a, spec, threads, 1.0, seed, &pool, &scratch).unwrap();
+        let mut x = vec![0.0; a.n_rows()];
+        let rep = try_fcg_solve(a, b, &mut x, &pre, opts).unwrap_or_else(|e| panic!("{e}"));
+        (x, rep)
     }
 
     #[test]
@@ -267,11 +290,7 @@ mod tests {
     #[test]
     fn fcg_jacobi_converges() {
         let (a, b, _) = problem(10);
-        let n = a.n_rows();
-        let pre = JacobiPrecond::new(&a);
-        let mut x = vec![0.0; n];
-        let rep = try_fcg_solve(&a, &b, &mut x, &pre, &FcgOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let (_, rep) = fcg_with(&a, &b, PrecondSpec::Jacobi, 1, 0, &FcgOptions::default());
         assert!(rep.converged_early);
         assert!(rep.final_rel_residual < 1e-7);
     }
@@ -279,20 +298,9 @@ mod tests {
     #[test]
     fn rgs_preconditioning_cuts_outer_iterations() {
         let (a, b, _) = problem(14);
-        let n = a.n_rows();
-        let mut x_plain = vec![0.0; n];
-        let plain = try_fcg_solve(
-            &a,
-            &b,
-            &mut x_plain,
-            &IdentityPrecond,
-            &FcgOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let pre = RgsPrecond::new(&a, 10, 1.0, 5);
-        let mut x_pre = vec![0.0; n];
-        let with_pre = try_fcg_solve(&a, &b, &mut x_pre, &pre, &FcgOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let (_, plain) = fcg_with(&a, &b, PrecondSpec::Identity, 1, 0, &FcgOptions::default());
+        let spec = PrecondSpec::Rgs { inner_sweeps: 10 };
+        let (_, with_pre) = fcg_with(&a, &b, spec, 1, 5, &FcgOptions::default());
         assert!(with_pre.converged_early);
         assert!(
             with_pre.iterations < plain.iterations,
@@ -305,11 +313,8 @@ mod tests {
     #[test]
     fn asyrgs_preconditioning_converges_to_tight_tolerance() {
         let (a, b, x_star) = problem(12);
-        let n = a.n_rows();
-        let pre = AsyRgsPrecond::new(&a, 5, 2, 1.0, 11);
-        let mut x = vec![0.0; n];
-        let rep = try_fcg_solve(&a, &b, &mut x, &pre, &FcgOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
+        let spec = PrecondSpec::AsyRgs { inner_sweeps: 5 };
+        let (x, rep) = fcg_with(&a, &b, spec, 2, 11, &FcgOptions::default());
         assert!(
             rep.converged_early,
             "no convergence: {}",
@@ -326,15 +331,12 @@ mod tests {
         let (a, b, _) = problem(8);
         let n = a.n_rows();
         let dyn_a: &dyn LinearOperator = &a;
+        let scratch = Mutex::new(SolveWorkspace::new());
+        let pool = asyrgs_parallel::global();
+        let pre = SpecPrecond::new(&a, PrecondSpec::Jacobi, 1, 1.0, 0, pool, &scratch).unwrap();
         let mut x = vec![0.0; n];
-        let rep = try_fcg_solve(
-            dyn_a,
-            &b,
-            &mut x,
-            &JacobiPrecond::new(&a),
-            &FcgOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        let rep = try_fcg_solve(dyn_a, &b, &mut x, &pre, &FcgOptions::default())
+            .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.converged_early);
     }
 
@@ -368,24 +370,13 @@ mod tests {
     #[test]
     fn truncation_depth_two_converges_no_slower() {
         let (a, b, _) = problem(12);
-        let n = a.n_rows();
-        let pre = RgsPrecond::new(&a, 3, 1.0, 7);
-        let mut x1 = vec![0.0; n];
-        let f1 = try_fcg_solve(&a, &b, &mut x1, &pre, &FcgOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"));
-        let pre2 = RgsPrecond::new(&a, 3, 1.0, 7);
-        let mut x2 = vec![0.0; n];
-        let f2 = try_fcg_solve(
-            &a,
-            &b,
-            &mut x2,
-            &pre2,
-            &FcgOptions {
-                truncate: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        let spec = PrecondSpec::Rgs { inner_sweeps: 3 };
+        let (_, f1) = fcg_with(&a, &b, spec, 1, 7, &FcgOptions::default());
+        let deep = FcgOptions {
+            truncate: 3,
+            ..Default::default()
+        };
+        let (_, f2) = fcg_with(&a, &b, spec, 1, 7, &deep);
         assert!(f1.converged_early && f2.converged_early);
         // Deeper orthogonalization should not need substantially more
         // iterations (usually fewer or equal).
@@ -400,20 +391,11 @@ mod tests {
     #[test]
     fn restart_still_converges() {
         let (a, b, _) = problem(10);
-        let n = a.n_rows();
-        let pre = JacobiPrecond::new(&a);
-        let mut x = vec![0.0; n];
-        let rep = try_fcg_solve(
-            &a,
-            &b,
-            &mut x,
-            &pre,
-            &FcgOptions {
-                restart_every: Some(10),
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        let restarted = FcgOptions {
+            restart_every: Some(10),
+            ..Default::default()
+        };
+        let (_, rep) = fcg_with(&a, &b, PrecondSpec::Jacobi, 1, 0, &restarted);
         assert!(rep.converged_early);
         assert!(rep.final_rel_residual < 1e-7);
     }

@@ -258,7 +258,7 @@ pub fn try_gmres_solve<O: LinearOperator + ?Sized, M: Preconditioner>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{IdentityPrecond, JacobiPrecond};
+    use crate::precond::{IdentityPrecond, PrecondSpec, SpecPrecond};
     use asyrgs_sparse::CsrMatrix;
     use asyrgs_workloads::laplace2d;
 
@@ -325,7 +325,9 @@ mod tests {
     #[test]
     fn jacobi_preconditioning_converges() {
         let (a, b, _) = nonsym_problem(80);
-        let pre = JacobiPrecond::new(&a);
+        let scratch = std::sync::Mutex::new(SolveWorkspace::new());
+        let pool = asyrgs_parallel::global();
+        let pre = SpecPrecond::new(&a, PrecondSpec::Jacobi, 1, 1.0, 0, pool, &scratch).unwrap();
         let mut x = vec![0.0; 80];
         let rep = try_gmres_solve(&a, &b, &mut x, &pre, &GmresOptions::default())
             .unwrap_or_else(|e| panic!("{e}"));

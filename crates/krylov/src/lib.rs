@@ -10,10 +10,13 @@
 //!   square systems, right-preconditioned;
 //! * [`gmres`] — restarted flexible GMRES(m) (Givens-rotation
 //!   least-squares), right-preconditioned;
-//! * [`precond`] — the preconditioner trait with identity, Jacobi,
-//!   sequential-RGS, and **AsyRGS** implementations. AsyRGS is a variable
-//!   preconditioner (randomized + asynchronous), which is precisely why the
-//!   flexible outer iteration is needed.
+//! * [`precond`] — the preconditioner trait and its two implementations:
+//!   the identity, and [`SpecPrecond`], which applies a [`PrecondSpec`]
+//!   (Jacobi, sequential-RGS, or **AsyRGS** sweeps) over a caller-owned
+//!   pool and scratch. The sweeps make a variable preconditioner
+//!   (randomized + asynchronous), which is precisely why the flexible
+//!   outer iteration is needed; BiCGSTAB, which is not flexible, applies
+//!   them through the fixed form [`Preconditioner::apply_fixed`].
 
 #![warn(missing_docs)]
 
@@ -27,7 +30,7 @@ pub use bicgstab::{bicgstab_solve_in, try_bicgstab_solve, BicgstabOptions};
 pub use cg::{cg_solve_in, try_cg_solve, try_cg_solve_block, CgOptions};
 pub use fcg::{fcg_asyrgs_summary, fcg_solve_in, try_fcg_solve, FcgOptions, FcgRunSummary};
 pub use gmres::{gmres_solve_in, try_gmres_solve, GmresOptions};
-pub use precond::{AsyRgsPrecond, IdentityPrecond, JacobiPrecond, Preconditioner, RgsPrecond};
+pub use precond::{IdentityPrecond, PrecondSpec, Preconditioner, SpecPrecond};
 
 #[cfg(test)]
 mod property_tests {
@@ -70,7 +73,9 @@ mod property_tests {
                 },
             )
             .unwrap_or_else(|e| panic!("{e}"));
-            let pre = JacobiPrecond::new(&a);
+            let scratch = std::sync::Mutex::new(asyrgs_core::workspace::SolveWorkspace::new());
+            let pool = asyrgs_parallel::global();
+            let pre = SpecPrecond::new(&a, PrecondSpec::Jacobi, 1, 1.0, 0, pool, &scratch).unwrap();
             let mut x2 = vec![0.0; n];
             let f = try_fcg_solve(&a, &b, &mut x2, &pre, &FcgOptions::default())
                 .unwrap_or_else(|e| panic!("{e}"));

@@ -5,32 +5,35 @@
 //! sweeps from a zero initial guess, and both the randomization and the
 //! thread interleaving change between applications. That is exactly why the
 //! outer Krylov method must be *flexible* (Notay's Flexible-CG, see
-//! [`crate::fcg`]).
+//! [`crate::fcg`]); BiCGSTAB, which is not, calls the fixed form
+//! [`Preconditioner::apply_fixed`].
 //!
-//! The matrix-backed preconditioners are generic over the operator traits:
-//! [`JacobiPrecond`] builds from any [`LinearOperator`]'s diagonal, and the
-//! (Asy)RGS preconditioners wrap any [`RowAccess`] operator (defaulting to
-//! [`CsrMatrix`]).
+//! [`SpecPrecond`] applies any [`PrecondSpec`] to a [`RowAccess`]
+//! operator, borrowing a caller-owned [`WorkerPool`] and scratch
+//! [`SolveWorkspace`]; [`IdentityPrecond`] is `z = r`.
 
 use asyrgs_core::asyrgs::{asyrgs_solve_in, AsyRgsOptions};
-use asyrgs_core::driver::{Recording, Termination};
+use asyrgs_core::driver::{ensure_beta, ensure_threads, inverse_diag_into, Recording, Termination};
 use asyrgs_core::error::SolveError;
 use asyrgs_core::rgs::{rgs_solve_in, RgsOptions};
 use asyrgs_core::workspace::SolveWorkspace;
-use asyrgs_parallel::SolvePool;
-use asyrgs_sparse::{CsrMatrix, LinearOperator, RowAccess};
+use asyrgs_parallel::WorkerPool;
+use asyrgs_sparse::RowAccess;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// An approximate inverse applied to residuals.
 pub trait Preconditioner {
-    /// Compute `z ~ M^{-1} r`.
+    /// Compute `z ~ M^{-1} r`. The operator may change between calls, so
+    /// only a flexible outer method (FCG, FGMRES) should call this.
     fn apply(&self, r: &[f64], z: &mut [f64]);
 
-    /// Whether the operator can change between applications (flexible
-    /// methods are required if true).
-    fn is_variable(&self) -> bool {
-        false
+    /// Compute `z = M^{-1} r` for one fixed linear `M^{-1}`, the same on
+    /// every call — what a non-flexible recurrence (BiCGSTAB) needs. The
+    /// default forwards to [`apply`](Self::apply), which is right for
+    /// every preconditioner whose `apply` never varies.
+    fn apply_fixed(&self, r: &[f64], z: &mut [f64]) {
+        self.apply(r, z);
     }
 }
 
@@ -44,173 +47,197 @@ impl Preconditioner for IdentityPrecond {
     }
 }
 
-/// Jacobi (diagonal) preconditioner: `z = D^{-1} r`.
-#[derive(Debug, Clone)]
-pub struct JacobiPrecond {
-    dinv: Vec<f64>,
+/// Which preconditioner a Krylov solve applies: the FCG, BiCGSTAB and
+/// GMRES sessions read it from `SolverBuilder::preconditioner`, and
+/// [`SpecPrecond`] applies it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[non_exhaustive]
+pub enum PrecondSpec {
+    /// No preconditioning (`z = r`).
+    Identity,
+    /// Diagonal scaling (`z = D^{-1} r`).
+    Jacobi,
+    /// `inner_sweeps` of sequential RGS per application (variable).
+    Rgs {
+        /// Inner sweeps per application.
+        inner_sweeps: usize,
+    },
+    /// `inner_sweeps` of AsyRGS per application on the configured thread
+    /// count (the paper's Table 1 / Figure 3 configuration; variable).
+    AsyRgs {
+        /// Inner sweeps per application.
+        inner_sweeps: usize,
+    },
 }
 
-impl JacobiPrecond {
-    /// Build from the operator's diagonal. Panics on non-positive entries.
-    pub fn new<O: LinearOperator + ?Sized>(a: &O) -> Self {
-        Self::try_new(a).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Build from the operator's diagonal, rejecting non-positive entries
-    /// with a typed error — the fallible form the session layer uses.
-    pub fn try_new<O: LinearOperator + ?Sized>(a: &O) -> Result<Self, SolveError> {
-        let mut dinv = Vec::new();
-        asyrgs_core::driver::inverse_diag_into(&a.diag(), &mut dinv)?;
-        Ok(JacobiPrecond { dinv })
-    }
-}
-
-impl Preconditioner for JacobiPrecond {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.dinv.len());
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.dinv) {
-            *zi = ri * di;
-        }
-    }
-}
-
-/// Sequential Randomized Gauss-Seidel preconditioner: `inner_sweeps` sweeps
-/// of RGS on `A z = r` from `z = 0`. Variable (randomized), so use with a
-/// flexible outer method.
-pub struct RgsPrecond<'a, O: RowAccess = CsrMatrix> {
+/// The preconditioner a [`PrecondSpec`] names, over the operator `a`.
+///
+/// The RGS/AsyRGS specs run `inner_sweeps` sweeps of [`rgs_solve_in`] or
+/// [`asyrgs_solve_in`] on `a z = r`. [`apply`](Preconditioner::apply)
+/// starts from `z = 0` on a fresh direction substream each call
+/// (application `k` uses seed `seed + k * 0x9E3779B9`).
+/// [`apply_fixed`](Preconditioner::apply_fixed) pins the first substream
+/// and starts from `D^{-1} r`: sweeps draw rows with replacement, so a
+/// pinned substream misses the same rows every time, and from a zero
+/// start that would make `M^{-1}` singular. The sweeps need a symmetric
+/// `a`; for a nonsymmetric system pass its symmetric part
+/// (`asyrgs::session::symmetrized`).
+///
+/// `pool` runs the AsyRGS sweeps. `scratch` holds `D^{-1}` and the inner
+/// solves' buffers, and belongs to this preconditioner while it lives.
+pub struct SpecPrecond<'a, O> {
     a: &'a O,
-    /// Sweeps per application.
-    inner_sweeps: usize,
-    /// Step size.
-    beta: f64,
-    seed: u64,
-    counter: AtomicU64,
-    /// Reusable solve scratch: an outer FCG solve applies this operator
-    /// hundreds of times, so applications after the first must not
-    /// allocate.
-    scratch: Mutex<SolveWorkspace>,
-}
-
-impl<'a, O: RowAccess> RgsPrecond<'a, O> {
-    /// New preconditioner over `a`.
-    pub fn new(a: &'a O, inner_sweeps: usize, beta: f64, seed: u64) -> Self {
-        RgsPrecond {
-            a,
-            inner_sweeps,
-            beta,
-            seed,
-            counter: AtomicU64::new(0),
-            scratch: Mutex::new(SolveWorkspace::new()),
-        }
-    }
-}
-
-impl<O: RowAccess> Preconditioner for RgsPrecond<'_, O> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.fill(0.0);
-        // A fresh direction substream per application.
-        let app = self.counter.fetch_add(1, Ordering::Relaxed);
-        let mut ws = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        rgs_solve_in(
-            &mut ws,
-            self.a,
-            r,
-            z,
-            None,
-            &RgsOptions {
-                beta: self.beta,
-                seed: self.seed.wrapping_add(app.wrapping_mul(0x9E37_79B9)),
-                term: Termination::sweeps(self.inner_sweeps),
-                record: Recording::end_only(),
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn is_variable(&self) -> bool {
-        true
-    }
-}
-
-/// AsyRGS preconditioner (paper Section 9, Table 1 / Figure 3):
-/// `inner_sweeps` sweeps of asynchronous Randomized Gauss-Seidel on
-/// `A z = r` from `z = 0`, on `threads` threads.
-pub struct AsyRgsPrecond<'a, O: RowAccess + Sync = CsrMatrix> {
-    a: &'a O,
-    /// Sweeps per application ("inner sweeps" in Table 1).
-    inner_sweeps: usize,
-    /// Worker threads; `pool` is built `threads` wide in
-    /// [`new`](Self::new) and never narrower.
+    spec: PrecondSpec,
     threads: usize,
-    /// Step size.
     beta: f64,
     seed: u64,
-    counter: AtomicU64,
-    /// Worker pool held for the preconditioner's lifetime: an outer FCG
-    /// solve applies this operator hundreds of times, so each application
-    /// must be a wake/park handshake, never a pool construction.
-    pool: SolvePool,
-    /// Reusable solve scratch, for the same reason: applications after
-    /// the first must not allocate.
-    scratch: Mutex<SolveWorkspace>,
+    pool: &'a WorkerPool,
+    scratch: &'a Mutex<SolveWorkspace>,
+    /// Variable applications so far; each draws a fresh substream.
+    applications: AtomicU64,
 }
 
-impl<'a, O: RowAccess + Sync> AsyRgsPrecond<'a, O> {
-    /// New preconditioner over `a`.
-    pub fn new(a: &'a O, inner_sweeps: usize, threads: usize, beta: f64, seed: u64) -> Self {
-        AsyRgsPrecond {
+impl<'a, O: RowAccess + Sync> SpecPrecond<'a, O> {
+    /// Check the configuration and cache `D^{-1}` of `a` in `scratch`, so
+    /// no application can fail.
+    ///
+    /// # Errors
+    /// [`SolveError::ZeroDiagonal`] for a non-positive diagonal entry
+    /// (every spec but identity); [`SolveError::InvalidBeta`] (sweeps);
+    /// [`SolveError::ZeroThreads`], or [`SolveError::DimensionMismatch`]
+    /// for a pool narrower than `threads` (AsyRGS).
+    pub fn new(
+        a: &'a O,
+        spec: PrecondSpec,
+        threads: usize,
+        beta: f64,
+        seed: u64,
+        pool: &'a WorkerPool,
+        scratch: &'a Mutex<SolveWorkspace>,
+    ) -> Result<Self, SolveError> {
+        if let PrecondSpec::Rgs { .. } | PrecondSpec::AsyRgs { .. } = spec {
+            ensure_beta(beta)?;
+        }
+        if let PrecondSpec::AsyRgs { .. } = spec {
+            ensure_threads(threads)?;
+            if threads > pool.concurrency() {
+                return Err(SolveError::DimensionMismatch {
+                    solver: "precond",
+                    detail: format!(
+                        "{threads} threads requested but the pool provides {}",
+                        pool.concurrency()
+                    ),
+                });
+            }
+        }
+        if spec != PrecondSpec::Identity {
+            let mut ws = scratch.lock().unwrap_or_else(|e| e.into_inner());
+            let ws = &mut *ws;
+            a.diag_into(&mut ws.diag);
+            inverse_diag_into(&ws.diag, &mut ws.dinv)?;
+        }
+        Ok(SpecPrecond {
             a,
-            inner_sweeps,
+            spec,
             threads,
             beta,
             seed,
-            counter: AtomicU64::new(0),
-            pool: asyrgs_parallel::pool_for(threads),
-            scratch: Mutex::new(SolveWorkspace::new()),
-        }
+            pool,
+            scratch,
+            applications: AtomicU64::new(0),
+        })
     }
 
-    /// Number of applications so far.
-    pub fn applications(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
+    /// One application; `fixed` selects [`Preconditioner::apply_fixed`].
+    fn run(&self, r: &[f64], z: &mut [f64], fixed: bool) {
+        // A panicked application leaves the scratch valid: the inner
+        // solves rewrite `D^{-1}` with the values it already holds and
+        // overwrite every other buffer before reading it.
+        let mut ws = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        let (inner_sweeps, parallel) = match self.spec {
+            PrecondSpec::Identity => return z.copy_from_slice(r),
+            PrecondSpec::Jacobi => return jacobi(&ws.dinv, r, z),
+            PrecondSpec::Rgs { inner_sweeps } => (inner_sweeps, false),
+            PrecondSpec::AsyRgs { inner_sweeps } => (inner_sweeps, true),
+        };
+        let app = if fixed {
+            jacobi(&ws.dinv, r, z);
+            0
+        } else {
+            z.fill(0.0);
+            self.applications.fetch_add(1, Ordering::Relaxed)
+        };
+        let seed = self.seed.wrapping_add(app.wrapping_mul(0x9E37_79B9));
+        let done = if parallel {
+            let opts = AsyRgsOptions {
+                beta: self.beta,
+                threads: self.threads,
+                seed,
+                term: Termination::sweeps(inner_sweeps),
+                record: Recording::end_only(),
+                ..Default::default()
+            };
+            asyrgs_solve_in(self.pool, &mut ws, self.a, r, z, None, &opts)
+        } else {
+            let opts = RgsOptions {
+                beta: self.beta,
+                seed,
+                term: Termination::sweeps(inner_sweeps),
+                record: Recording::end_only(),
+                ..Default::default()
+            };
+            rgs_solve_in(&mut ws, self.a, r, z, None, &opts)
+        };
+        done.unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
-impl<O: RowAccess + Sync> Preconditioner for AsyRgsPrecond<'_, O> {
+/// `z = D^{-1} r`.
+fn jacobi(dinv: &[f64], r: &[f64], z: &mut [f64]) {
+    assert_eq!(r.len(), dinv.len());
+    for ((zi, ri), di) in z.iter_mut().zip(r).zip(dinv) {
+        *zi = ri * di;
+    }
+}
+
+impl<O: RowAccess + Sync> Preconditioner for SpecPrecond<'_, O> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.fill(0.0);
-        let app = self.counter.fetch_add(1, Ordering::Relaxed);
-        let mut ws = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        asyrgs_solve_in(
-            &self.pool,
-            &mut ws,
-            self.a,
-            r,
-            z,
-            None,
-            &AsyRgsOptions {
-                beta: self.beta,
-                threads: self.threads,
-                seed: self.seed.wrapping_add(app.wrapping_mul(0x9E37_79B9)),
-                term: Termination::sweeps(self.inner_sweeps),
-                record: Recording::end_only(),
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        self.run(r, z, false);
     }
 
-    fn is_variable(&self) -> bool {
-        true
+    fn apply_fixed(&self, r: &[f64], z: &mut [f64]) {
+        self.run(r, z, true);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asyrgs_sparse::dense;
+    use asyrgs_sparse::{dense, CsrMatrix};
     use asyrgs_workloads::laplace2d;
+
+    /// Apply `spec` over `a` twice through `apply`, then twice through
+    /// `apply_fixed`, on a pool `threads` wide.
+    fn four_applications(
+        a: &CsrMatrix,
+        spec: PrecondSpec,
+        threads: usize,
+        r: &[f64],
+    ) -> [Vec<f64>; 4] {
+        let pool = asyrgs_parallel::pool_for(threads);
+        let scratch = Mutex::new(SolveWorkspace::new());
+        let p = SpecPrecond::new(a, spec, threads, 1.0, 7, &pool, &scratch).unwrap();
+        let mut out: [Vec<f64>; 4] = Default::default();
+        for (k, z) in out.iter_mut().enumerate() {
+            *z = vec![0.0; r.len()];
+            if k < 2 {
+                p.apply(r, z);
+            } else {
+                p.apply_fixed(r, z);
+            }
+        }
+        out
+    }
 
     #[test]
     fn identity_is_identity() {
@@ -219,58 +246,64 @@ mod tests {
         let mut z = vec![0.0; 3];
         p.apply(&r, &mut z);
         assert_eq!(z, r);
-        assert!(!p.is_variable());
+        p.apply_fixed(&r, &mut z);
+        assert_eq!(z, r);
     }
 
     #[test]
     fn jacobi_divides_by_diagonal() {
         let a = CsrMatrix::from_dense(2, 2, &[4.0, 1.0, 1.0, 2.0]);
-        let p = JacobiPrecond::new(&a);
-        let mut z = vec![0.0; 2];
-        p.apply(&[8.0, 6.0], &mut z);
-        assert_eq!(z, vec![2.0, 3.0]);
+        let z = four_applications(&a, PrecondSpec::Jacobi, 1, &[8.0, 6.0]);
+        for zk in z {
+            assert_eq!(zk, vec![2.0, 3.0]);
+        }
     }
 
     #[test]
-    fn rgs_precond_reduces_residual() {
+    fn sweeps_reduce_residual() {
         let a = laplace2d(8, 8);
         let n = a.n_rows();
         let r: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let p = RgsPrecond::new(&a, 10, 1.0, 42);
-        assert!(p.is_variable());
-        let mut z = vec![0.0; n];
-        p.apply(&r, &mut z);
-        // z should approximately solve A z = r: residual shrinks vs z = 0.
-        let res = a.residual(&r, &z);
-        assert!(dense::norm2(&res) < 0.5 * dense::norm2(&r));
+        for (spec, threads) in [
+            (PrecondSpec::Rgs { inner_sweeps: 10 }, 1),
+            (PrecondSpec::AsyRgs { inner_sweeps: 10 }, 2),
+        ] {
+            for z in four_applications(&a, spec, threads, &r) {
+                // z should approximately solve A z = r: residual shrinks
+                // vs z = 0.
+                let res = a.residual(&r, &z);
+                assert!(dense::norm2(&res) < 0.5 * dense::norm2(&r), "{spec:?}");
+            }
+        }
     }
 
     #[test]
-    fn asyrgs_precond_reduces_residual_and_counts() {
-        let a = laplace2d(8, 8);
-        let n = a.n_rows();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let p = AsyRgsPrecond::new(&a, 10, 2, 1.0, 7);
-        let mut z = vec![0.0; n];
-        p.apply(&r, &mut z);
-        p.apply(&r, &mut z);
-        assert_eq!(p.applications(), 2);
-        let res = a.residual(&r, &z);
-        assert!(dense::norm2(&res) < 0.5 * dense::norm2(&r));
-    }
-
-    #[test]
-    fn applications_use_different_randomness() {
-        // Two applications on the same residual give different (but both
-        // useful) outputs — the preconditioner is variable.
-        let a = laplace2d(6, 6);
-        let n = a.n_rows();
-        let r = vec![1.0; n];
-        let p = RgsPrecond::new(&a, 2, 1.0, 3);
-        let mut z1 = vec![0.0; n];
-        let mut z2 = vec![0.0; n];
-        p.apply(&r, &mut z1);
-        p.apply(&r, &mut z2);
-        assert_ne!(z1, z2);
+    fn new_rejects_what_apply_could_not_survive() {
+        let a = CsrMatrix::from_dense(2, 2, &[4.0, 1.0, 1.0, -2.0]);
+        let pool = asyrgs_parallel::pool_for(1);
+        let scratch = Mutex::new(SolveWorkspace::new());
+        let new =
+            |spec, threads, beta| SpecPrecond::new(&a, spec, threads, beta, 0, &pool, &scratch);
+        let sweeps = PrecondSpec::AsyRgs { inner_sweeps: 1 };
+        assert!(new(PrecondSpec::Identity, 1, 1.0).is_ok());
+        assert!(matches!(
+            new(PrecondSpec::Jacobi, 1, 1.0),
+            Err(SolveError::ZeroDiagonal { index: 1, .. })
+        ));
+        let spd = laplace2d(2, 2);
+        let new =
+            |spec, threads, beta| SpecPrecond::new(&spd, spec, threads, beta, 0, &pool, &scratch);
+        assert!(matches!(
+            new(sweeps, 1, 2.0),
+            Err(SolveError::InvalidBeta { .. })
+        ));
+        assert!(matches!(new(sweeps, 0, 1.0), Err(SolveError::ZeroThreads)));
+        let wide = pool.concurrency() + 1;
+        assert!(matches!(
+            new(sweeps, wide, 1.0),
+            Err(SolveError::DimensionMismatch { .. })
+        ));
+        // Beta and threads only matter to the sweeps.
+        assert!(new(PrecondSpec::Jacobi, 0, 2.0).is_ok());
     }
 }

@@ -108,8 +108,8 @@ pub mod prelude {
     pub use asyrgs_core::theory;
     pub use asyrgs_core::workspace::SolveWorkspace;
     pub use asyrgs_krylov::{
-        try_cg_solve, try_fcg_solve, AsyRgsPrecond, CgOptions, FcgOptions, IdentityPrecond,
-        JacobiPrecond, Preconditioner,
+        try_cg_solve, try_fcg_solve, CgOptions, FcgOptions, IdentityPrecond, Preconditioner,
+        SpecPrecond,
     };
     pub use asyrgs_parallel::{FaultPlan, FaultSpec};
     pub use asyrgs_sparse::{

@@ -14,7 +14,9 @@
 //!   or a Gershgorin bound [`MatrixProfile::kappa_bound`] below
 //!   `kappa_flex` (`spd`, certified without a matvec);
 //! * **nonsymmetric square** inputs get the spectral radius of the Jacobi
-//!   iteration matrix ([`asyrgs_spectral::jacobi_spectral_radius`]);
+//!   iteration matrix ([`asyrgs_spectral::jacobi_spectral_radius`]),
+//!   unless a diagonal entry is negative (`nonsym-indefinite` fires on
+//!   the sign alone);
 //! * **tall least-squares** inputs get no probe at all — the `lsq-tall`
 //!   rule fires on shape alone, so the probe cost is zero.
 //!

@@ -68,7 +68,7 @@ use asyrgs_core::partitioned::{partitioned_solve_in, PartitionedOptions};
 use asyrgs_core::report::{RecoveryAttempt, SolveReport};
 use asyrgs_core::rgs::{rgs_solve_block_in, rgs_solve_in, RgsOptions, RowSampling};
 use asyrgs_core::workspace::{resize_scratch_mat, SolveWorkspace};
-use asyrgs_krylov::precond::{IdentityPrecond, Preconditioner};
+use asyrgs_krylov::precond::SpecPrecond;
 use asyrgs_krylov::{
     bicgstab_solve_in, cg_solve_in, fcg_solve_in, gmres_solve_in, BicgstabOptions, CgOptions,
     FcgOptions, GmresOptions,
@@ -76,8 +76,9 @@ use asyrgs_krylov::{
 use asyrgs_parallel::{FaultPlan, SolvePool};
 use asyrgs_sparse::dense::RowMajorMat;
 use asyrgs_sparse::{CsrMatrix, RowAccess};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
+
+pub use asyrgs_krylov::precond::PrecondSpec;
 
 /// The solver families reachable through the builder — every public solve
 /// path in the workspace.
@@ -196,27 +197,6 @@ impl SolverFamily {
                 | SolverFamily::Fcg
         )
     }
-}
-
-/// Which preconditioner an [`SolverFamily::Fcg`] session applies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum PrecondSpec {
-    /// No preconditioning (`z = r`).
-    Identity,
-    /// Diagonal scaling (`z = D^{-1} r`).
-    Jacobi,
-    /// `inner_sweeps` of sequential RGS per application (variable).
-    Rgs {
-        /// Inner sweeps per application.
-        inner_sweeps: usize,
-    },
-    /// `inner_sweeps` of AsyRGS per application on the session's thread
-    /// count (the paper's Table 1 / Figure 3 configuration; variable).
-    AsyRgs {
-        /// Inner sweeps per application.
-        inner_sweeps: usize,
-    },
 }
 
 /// Absolute entrywise tolerance for the session/serve symmetry
@@ -403,7 +383,13 @@ impl SolverBuilder {
         self
     }
 
-    /// Preconditioner for the FCG family.
+    /// Preconditioner for the Krylov families FCG, BiCGSTAB and GMRES (CG
+    /// and the sweep families ignore it). FCG and GMRES are flexible and
+    /// apply the RGS/AsyRGS sweeps on a fresh substream each time;
+    /// BiCGSTAB applies them as one fixed map
+    /// ([`Preconditioner::apply_fixed`](asyrgs_krylov::Preconditioner::apply_fixed)).
+    /// Under BiCGSTAB and GMRES the sweeps run on the symmetric part
+    /// [`symmetrized`] of `A`.
     pub fn preconditioner(mut self, precond: PrecondSpec) -> Self {
         self.precond = precond;
         self
@@ -587,131 +573,10 @@ pub struct SolveSession {
     config: SolverBuilder,
     pool: SolvePool,
     ws: SolveWorkspace,
-    /// Dedicated scratch for FCG preconditioner applications (disjoint
-    /// from `ws`, which the outer FCG iteration owns during a solve).
-    /// A `Mutex` because `Preconditioner::apply` takes `&self`.
+    /// Dedicated scratch for Krylov preconditioner applications
+    /// (disjoint from `ws`, which the outer iteration owns during a
+    /// solve). A `Mutex` because `Preconditioner::apply` takes `&self`.
     precond_scratch: Mutex<SolveWorkspace>,
-}
-
-/// Session-internal FCG preconditioner: the same mathematics as
-/// [`JacobiPrecond`]/[`RgsPrecond`]/[`AsyRgsPrecond`] (identical options
-/// and per-application seed derivation), but borrowing the session's
-/// pool handle and persistent scratch instead of acquiring its own — so
-/// a session's preconditioner applications allocate nothing after the
-/// first solve and never spawn a worker pool.
-struct SessionPrecond<'s, O> {
-    a: &'s O,
-    spec: PrecondSpec,
-    threads: usize,
-    beta: f64,
-    seed: u64,
-    pool: &'s SolvePool,
-    scratch: &'s Mutex<SolveWorkspace>,
-    /// Applications this solve; each derives a fresh direction substream
-    /// (reset per solve, matching a freshly constructed standalone
-    /// preconditioner bitwise).
-    applications: AtomicU64,
-    /// Whether each application draws a fresh direction substream.
-    /// Flexible outer methods (FCG, FGMRES) store the preconditioned
-    /// basis and tolerate — even benefit from — a varying `M^{-1}`;
-    /// plain BiCGSTAB's recurrence assumes one fixed linear operator, so
-    /// its dispatch pins every application to the first substream
-    /// (a fixed sweep order from a zero start is a fixed linear map).
-    vary_stream: bool,
-}
-
-impl<O> SessionPrecond<'_, O> {
-    /// The substream index for this application: a fresh one per call in
-    /// flexible mode, always the first otherwise.
-    fn next_application(&self) -> u64 {
-        if self.vary_stream {
-            self.applications.fetch_add(1, AtomicOrdering::Relaxed)
-        } else {
-            0
-        }
-    }
-
-    /// Initial inner iterate for the RGS/AsyRGS sweep applications.
-    ///
-    /// Flexible mode starts from zero (bitwise matching the standalone
-    /// preconditioner types). Fixed-stream mode starts from the Jacobi
-    /// application `D^{-1} r` instead: randomized sweeps draw coordinates
-    /// with replacement, so a pinned substream misses the *same*
-    /// coordinates every application — from a zero start those outputs
-    /// are identically zero and `M^{-1}` is singular, which wrecks the
-    /// non-flexible BiCGSTAB recurrence. The Jacobi seed keeps the map
-    /// linear and fixed while covering every coordinate.
-    fn seed_inner_iterate(&self, r: &[f64], z: &mut [f64], ws: &SolveWorkspace) {
-        if self.vary_stream {
-            z.fill(0.0);
-        } else {
-            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&ws.dinv) {
-                *zi = ri * di;
-            }
-        }
-    }
-}
-
-impl<O: RowAccess + Sync> Preconditioner for SessionPrecond<'_, O> {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut ws = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        match self.spec {
-            PrecondSpec::Identity => z.copy_from_slice(r),
-            PrecondSpec::Jacobi => {
-                // dinv was validated and cached by `fcg_dispatch`.
-                for ((zi, ri), di) in z.iter_mut().zip(r).zip(&ws.dinv) {
-                    *zi = ri * di;
-                }
-            }
-            PrecondSpec::Rgs { inner_sweeps } => {
-                self.seed_inner_iterate(r, z, &ws);
-                let app = self.next_application();
-                rgs_solve_in(
-                    &mut ws,
-                    self.a,
-                    r,
-                    z,
-                    None,
-                    &RgsOptions {
-                        beta: self.beta,
-                        seed: self.seed.wrapping_add(app.wrapping_mul(0x9E37_79B9)),
-                        term: Termination::sweeps(inner_sweeps),
-                        record: Recording::end_only(),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
-            }
-            PrecondSpec::AsyRgs { inner_sweeps } => {
-                self.seed_inner_iterate(r, z, &ws);
-                let app = self.next_application();
-                asyrgs_solve_in(
-                    self.pool,
-                    &mut ws,
-                    self.a,
-                    r,
-                    z,
-                    None,
-                    &AsyRgsOptions {
-                        beta: self.beta,
-                        threads: self.threads,
-                        seed: self.seed.wrapping_add(app.wrapping_mul(0x9E37_79B9)),
-                        term: Termination::sweeps(inner_sweeps),
-                        record: Recording::end_only(),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
-            }
-        }
-    }
-
-    fn is_variable(&self) -> bool {
-        matches!(
-            self.spec,
-            PrecondSpec::Rgs { .. } | PrecondSpec::AsyRgs { .. }
-        )
-    }
 }
 
 impl std::fmt::Debug for SolveSession {
@@ -831,149 +696,67 @@ impl SolveSession {
         }
     }
 
-    /// Validate and cache the diagonal (and its inverse) of the
-    /// preconditioner's inner operator in the preconditioner scratch.
+    /// FCG, BiCGSTAB or GMRES under the configured preconditioner.
     ///
-    /// Every non-identity spec needs a positive diagonal (Jacobi for the
-    /// scaling itself, the RGS family for its inner solves), so this runs
-    /// up front at dispatch time: `Preconditioner::apply` is infallible
-    /// and a violation discovered there could only surface as a panic,
-    /// breaking the dispatchers' typed-error contract. Jacobi also reads
-    /// the cached `D^{-1}` directly in its applications.
-    fn cache_precond_diag<O: RowAccess + ?Sized>(&mut self, a: &O) -> Result<(), SolveError> {
-        let scratch = self
-            .precond_scratch
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner());
-        a.diag_into(&mut scratch.diag);
-        asyrgs_core::driver::inverse_diag_into(&scratch.diag, &mut scratch.dinv)?;
-        Ok(())
-    }
-
-    fn fcg_dispatch<O: RowAccess + Sync>(
+    /// The RGS/AsyRGS sweeps need a symmetric inner operator, so under
+    /// BiCGSTAB and GMRES, whose `A` may be nonsymmetric, they sweep on
+    /// the symmetric part `(A + A^T)/2` (bitwise `A` when `A` is
+    /// symmetric). Jacobi reads only the diagonal, which symmetrization
+    /// preserves, so it scales by `A`'s own.
+    fn krylov_dispatch<O: RowAccess + Sync>(
         &mut self,
         a: &O,
         b: &[f64],
         x: &mut [f64],
     ) -> Result<SolveReport, SolveError> {
-        let opts = self.fcg_options();
-        if let PrecondSpec::Identity = self.config.precond {
-            return fcg_solve_in(&mut self.ws, a, b, x, &IdentityPrecond, &opts);
+        let sweeps = matches!(
+            self.config.precond,
+            PrecondSpec::Rgs { .. } | PrecondSpec::AsyRgs { .. }
+        );
+        if sweeps && self.config.family != SolverFamily::Fcg {
+            return self.krylov_solve(a, &symmetrized(a), b, x);
         }
-        // Non-trivial preconditioners run through a session-internal
-        // operator that borrows the session's pool handle and persistent
-        // preconditioner scratch, so applications after the first solve
-        // allocate nothing and never spawn a pool (the standalone
-        // `AsyRgsPrecond`/`RgsPrecond`/`JacobiPrecond` types acquire
-        // their own resources per construction, which would defeat the
-        // session's amortization if rebuilt per solve).
-        self.cache_precond_diag(a)?;
-        let pre = SessionPrecond {
-            a,
-            spec: self.config.precond,
-            threads: self.config.threads,
-            beta: self.config.beta,
-            seed: self.config.seed,
-            pool: &self.pool,
-            scratch: &self.precond_scratch,
-            applications: AtomicU64::new(0),
-            vary_stream: true,
-        };
-        fcg_solve_in(&mut self.ws, a, b, x, &pre, &opts)
+        self.krylov_solve(a, a, b, x)
     }
 
-    fn bicgstab_dispatch<O: RowAccess + Sync>(
+    /// [`krylov_dispatch`](Self::krylov_dispatch) with the preconditioner
+    /// over `inner`. It borrows the session's pool and preconditioner
+    /// scratch (disjoint from `ws`, which the outer iteration owns), so
+    /// applications after the first solve allocate nothing and never
+    /// spawn a pool. Its constructor checks the diagonal up front, so a
+    /// bad one is a typed error with `x` untouched.
+    fn krylov_solve<O: RowAccess + Sync, P: RowAccess + Sync>(
         &mut self,
         a: &O,
+        inner: &P,
         b: &[f64],
         x: &mut [f64],
     ) -> Result<SolveReport, SolveError> {
-        let opts = self.bicgstab_options();
-        if let PrecondSpec::Identity = self.config.precond {
-            return bicgstab_solve_in(&mut self.ws, a, b, x, &IdentityPrecond, &opts);
+        let c = &self.config;
+        let pre = SpecPrecond::new(
+            inner,
+            c.precond,
+            c.threads,
+            c.beta,
+            c.seed,
+            &self.pool,
+            &self.precond_scratch,
+        )?;
+        match c.family {
+            SolverFamily::Fcg => {
+                let opts = self.fcg_options();
+                fcg_solve_in(&mut self.ws, a, b, x, &pre, &opts)
+            }
+            SolverFamily::Bicgstab => {
+                let opts = self.bicgstab_options();
+                bicgstab_solve_in(&mut self.ws, a, b, x, &pre, &opts)
+            }
+            SolverFamily::Gmres => {
+                let opts = self.gmres_options();
+                gmres_solve_in(&mut self.ws, a, b, x, &pre, &opts)
+            }
+            other => unreachable!("{} is not a Krylov family", other.name()),
         }
-        // The RGS/AsyRGS preconditioners are Gauss-Seidel sweeps, whose
-        // convergence theory needs a symmetric inner operator — so for a
-        // nonsymmetric outer `A` they sweep on the symmetric part
-        // `(A + A^T)/2` (bitwise equal to `A` when `A` is symmetric).
-        // Jacobi only reads the diagonal, which symmetrization preserves,
-        // so it keeps preconditioning `A` itself. Unlike FCG/FGMRES,
-        // BiCGSTAB is not flexible: every application must be the same
-        // linear operator, so the sweep substream is pinned
-        // (`vary_stream: false`).
-        if let PrecondSpec::Rgs { .. } | PrecondSpec::AsyRgs { .. } = self.config.precond {
-            let sym = symmetrized(a);
-            self.cache_precond_diag(&sym)?;
-            let pre = SessionPrecond {
-                a: &sym,
-                spec: self.config.precond,
-                threads: self.config.threads,
-                beta: self.config.beta,
-                seed: self.config.seed,
-                pool: &self.pool,
-                scratch: &self.precond_scratch,
-                applications: AtomicU64::new(0),
-                vary_stream: false,
-            };
-            return bicgstab_solve_in(&mut self.ws, a, b, x, &pre, &opts);
-        }
-        self.cache_precond_diag(a)?;
-        let pre = SessionPrecond {
-            a,
-            spec: self.config.precond,
-            threads: self.config.threads,
-            beta: self.config.beta,
-            seed: self.config.seed,
-            pool: &self.pool,
-            scratch: &self.precond_scratch,
-            applications: AtomicU64::new(0),
-            vary_stream: false,
-        };
-        bicgstab_solve_in(&mut self.ws, a, b, x, &pre, &opts)
-    }
-
-    fn gmres_dispatch<O: RowAccess + Sync>(
-        &mut self,
-        a: &O,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<SolveReport, SolveError> {
-        let opts = self.gmres_options();
-        if let PrecondSpec::Identity = self.config.precond {
-            return gmres_solve_in(&mut self.ws, a, b, x, &IdentityPrecond, &opts);
-        }
-        // Same preconditioner routing as `bicgstab_dispatch`; GMRES is
-        // flexible (stores the preconditioned basis Z), so the variable
-        // RGS/AsyRGS applications are sound here too.
-        if let PrecondSpec::Rgs { .. } | PrecondSpec::AsyRgs { .. } = self.config.precond {
-            let sym = symmetrized(a);
-            self.cache_precond_diag(&sym)?;
-            let pre = SessionPrecond {
-                a: &sym,
-                spec: self.config.precond,
-                threads: self.config.threads,
-                beta: self.config.beta,
-                seed: self.config.seed,
-                pool: &self.pool,
-                scratch: &self.precond_scratch,
-                applications: AtomicU64::new(0),
-                vary_stream: true,
-            };
-            return gmres_solve_in(&mut self.ws, a, b, x, &pre, &opts);
-        }
-        self.cache_precond_diag(a)?;
-        let pre = SessionPrecond {
-            a,
-            spec: self.config.precond,
-            threads: self.config.threads,
-            beta: self.config.beta,
-            seed: self.config.seed,
-            pool: &self.pool,
-            scratch: &self.precond_scratch,
-            applications: AtomicU64::new(0),
-            vary_stream: true,
-        };
-        gmres_solve_in(&mut self.ws, a, b, x, &pre, &opts)
     }
 
     /// Solve the square system `A x = b`, reading the initial iterate from
@@ -1200,9 +983,9 @@ impl SolveSession {
                 let opts = self.cg_options();
                 cg_solve_in(&mut self.ws, a, b, x, &opts)
             }
-            SolverFamily::Fcg => self.fcg_dispatch(a, b, x),
-            SolverFamily::Bicgstab => self.bicgstab_dispatch(a, b, x),
-            SolverFamily::Gmres => self.gmres_dispatch(a, b, x),
+            SolverFamily::Fcg | SolverFamily::Bicgstab | SolverFamily::Gmres => {
+                self.krylov_dispatch(a, b, x)
+            }
             SolverFamily::Rcd | SolverFamily::AsyncRcd => Err(SolveError::MethodMismatch {
                 called: "solve",
                 family: self.config.family.name(),

@@ -1,8 +1,11 @@
 //! Bitwise fingerprints of every deterministic (single-worker) fixed-seed
-//! solver path, asserted against the table below. Refactors of the
-//! parallel runtime and the hot kernels must leave all 15 bit-identical.
+//! solver path, asserted against the tables below. Refactors of the
+//! parallel runtime and the hot kernels must leave all 21 bit-identical:
+//! 15 solver paths, and 6 Krylov solves under a non-identity
+//! preconditioner.
 //!
-//! Each hash is computed twice: through the family's `try_*` one-shot, and
+//! Each hash is computed twice: through the family's `try_*` one-shot
+//! (with a standalone `SpecPrecond` for the preconditioned paths), and
 //! through a `SolverBuilder` session configured with the same knobs (the
 //! route the serve scheduler and the benchmark run). Both must equal the
 //! committed table.
@@ -11,7 +14,7 @@
 //! `PREFETCH_MIN_BYTES`, so these pin the plain (no prefetch) side of the
 //! update walks; `tests/determinism.rs` pins the prefetch side.
 //!
-//! Platform dependence: thirteen hashes use only IEEE-754 basic operations
+//! Platform dependence: nineteen hashes use only IEEE-754 basic operations
 //! (`+ - * /` and `sqrt`, all correctly rounded) and hold on every target.
 //! The two least-squares hashes (`rcd`, `async_rcd_t1`) also depend on the
 //! platform's libm: `random_lsq` draws Box-Muller normals through `f64::ln`
@@ -22,8 +25,12 @@
 
 use asyrgs::core::asyrgs::ReadMode;
 use asyrgs::core::rgs::RowSampling;
+use asyrgs::krylov::{try_bicgstab_solve, try_gmres_solve, BicgstabOptions, GmresOptions};
 use asyrgs::prelude::*;
+use asyrgs::session::symmetrized;
+use asyrgs::workloads::scenarios::find;
 use asyrgs::workloads::{diag_dominant, laplace2d, random_lsq, LsqParams};
+use std::sync::Mutex;
 
 /// The committed fingerprints, in the order [`fingerprints`] computes them.
 const EXPECTED: [(&str, u64); 15] = [
@@ -42,6 +49,17 @@ const EXPECTED: [(&str, u64); 15] = [
     ("async_rcd_t1", 0x2f9e_6914_cbd3_4dc4),
     ("cg", 0x3cf1_f5e2_421b_7e6a),
     ("fcg", 0x70bc_84e0_017c_04d8),
+];
+
+/// The committed preconditioned fingerprints, in the order
+/// [`preconditioned_fingerprints`] computes them.
+const EXPECTED_PRECONDITIONED: [(&str, u64); 6] = [
+    ("fcg_jacobi", 0x3b66_9ed4_7dff_cb58),
+    ("fcg_rgs3", 0x534b_abd7_8ead_32ae),
+    ("fcg_asyrgs2_t1", 0x92c3_792c_a298_4eaa),
+    ("gmres_rgs2", 0xdc52_c7ff_0d88_90ad),
+    ("bicgstab_jacobi", 0xc3f5_e904_a97c_77a7),
+    ("bicgstab_rgs2", 0x5f8c_c575_08cc_543e),
 ];
 
 fn hash(xs: &[f64]) -> u64 {
@@ -377,22 +395,113 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
     out
 }
 
-#[test]
-fn fifteen_fingerprints_are_bitwise_unchanged() {
-    let got = fingerprints();
+/// Run the 6 pinned preconditioned Krylov solves (one thread, seed
+/// `0x5EED`, at most 200 iterations to 1e-8) and hash each final iterate:
+/// the name, the standalone-`SpecPrecond` hash, then the session hash.
+/// FCG runs on `laplace2d(12, 12)` with `b_i = (i mod 7) - 3`; GMRES and
+/// BiCGSTAB run on the `conv_diff_pe_low` scenario, with the sweeps over
+/// its symmetric part. `bicgstab_rgs2` is the fixed-operator path
+/// (`Preconditioner::apply_fixed`).
+fn preconditioned_fingerprints() -> Vec<(&'static str, u64, u64)> {
+    let term = Termination::sweeps(200).with_target(1e-8);
+    let record = Recording::every(1);
+    let seed = 0x5EED;
+    let a = laplace2d(12, 12);
+    let b: Vec<f64> = (0..a.n_rows()).map(|i| ((i % 7) as f64) - 3.0).collect();
+    let cd = find("conv_diff_pe_low").expect("registered").build();
+    let cd_sym = symmetrized(&cd.a);
+    let pool = asyrgs::parallel::pool_for(1);
+    let scratch = Mutex::new(SolveWorkspace::new());
+    let fcg = FcgOptions {
+        term: term.clone(),
+        record,
+        ..Default::default()
+    };
+    let gmres = GmresOptions {
+        term: term.clone(),
+        record,
+        ..Default::default()
+    };
+    let bicgstab = BicgstabOptions {
+        term: term.clone(),
+        record,
+        ..Default::default()
+    };
+    let cases = [
+        ("fcg_jacobi", SolverFamily::Fcg, PrecondSpec::Jacobi),
+        (
+            "fcg_rgs3",
+            SolverFamily::Fcg,
+            PrecondSpec::Rgs { inner_sweeps: 3 },
+        ),
+        (
+            "fcg_asyrgs2_t1",
+            SolverFamily::Fcg,
+            PrecondSpec::AsyRgs { inner_sweeps: 2 },
+        ),
+        (
+            "gmres_rgs2",
+            SolverFamily::Gmres,
+            PrecondSpec::Rgs { inner_sweeps: 2 },
+        ),
+        (
+            "bicgstab_jacobi",
+            SolverFamily::Bicgstab,
+            PrecondSpec::Jacobi,
+        ),
+        (
+            "bicgstab_rgs2",
+            SolverFamily::Bicgstab,
+            PrecondSpec::Rgs { inner_sweeps: 2 },
+        ),
+    ];
+    let mut out = Vec::new();
+    for (name, family, spec) in cases {
+        let (m, rhs, inner) = match (family, spec) {
+            (SolverFamily::Fcg, _) => (&a, &b, &a),
+            (_, PrecondSpec::Jacobi) => (&cd.a, &cd.b, &cd.a),
+            _ => (&cd.a, &cd.b, &cd_sym),
+        };
+        let pre = SpecPrecond::new(inner, spec, 1, 1.0, seed, &pool, &scratch).unwrap();
+        let mut x = vec![0.0; m.n_rows()];
+        match family {
+            SolverFamily::Fcg => try_fcg_solve(m, rhs, &mut x, &pre, &fcg),
+            SolverFamily::Gmres => try_gmres_solve(m, rhs, &mut x, &pre, &gmres),
+            _ => try_bicgstab_solve(m, rhs, &mut x, &pre, &bicgstab),
+        }
+        .unwrap();
+        let mut y = vec![0.0; m.n_rows()];
+        SolverBuilder::new(family)
+            .preconditioner(spec)
+            .threads(1)
+            .seed(seed)
+            .term(term.clone())
+            .record(record)
+            .build()
+            .unwrap()
+            .solve(m, rhs, &mut y)
+            .unwrap();
+        out.push((name, hash(&x), hash(&y)));
+    }
+    out
+}
+
+/// Assert every computed `(name, one_shot, session)` row against
+/// `expected`; on a mismatch print the whole table, one column per route.
+fn assert_unchanged(got: &[(&str, u64, u64)], expected: &[(&str, u64)], one_shot_route: &str) {
     let names: Vec<&str> = got.iter().map(|&(name, _, _)| name).collect();
-    let want: Vec<&str> = EXPECTED.iter().map(|&(name, _)| name).collect();
+    let want: Vec<&str> = expected.iter().map(|&(name, _)| name).collect();
     assert_eq!(names, want, "fingerprint order changed");
     let moved = got
         .iter()
-        .zip(&EXPECTED)
+        .zip(expected)
         .any(|(&(_, one_shot, session), &(_, expected))| {
             one_shot != expected || session != expected
         });
     if moved {
         let mut table =
-            String::from("path                 expected          try_*             session\n");
-        for (&(name, one_shot, session), &(_, expected)) in got.iter().zip(&EXPECTED) {
+            format!("path                 expected          {one_shot_route:<17} session\n");
+        for (&(name, one_shot, session), &(_, expected)) in got.iter().zip(expected) {
             let mark = if one_shot == expected && session == expected {
                 ""
             } else {
@@ -407,4 +516,18 @@ fn fifteen_fingerprints_are_bitwise_unchanged() {
              the platform's libm (see the module docs):\n{table}"
         );
     }
+}
+
+#[test]
+fn fifteen_fingerprints_are_bitwise_unchanged() {
+    assert_unchanged(&fingerprints(), &EXPECTED, "try_*");
+}
+
+#[test]
+fn preconditioned_fingerprints_are_bitwise_unchanged() {
+    assert_unchanged(
+        &preconditioned_fingerprints(),
+        &EXPECTED_PRECONDITIONED,
+        "SpecPrecond",
+    );
 }

@@ -412,3 +412,49 @@ fn explicit_submissions_bypass_the_policy_bitwise() {
     // The explicit run on the warmed scheduler charged no further probe.
     assert_eq!(warmed.registry_stats().policy_probes, 1);
 }
+
+/// A nonsymmetric matrix with a negative diagonal entry: the AsyRGS
+/// preconditioner of `nonsym-dominant` would reject it, so the sign alone
+/// routes it to GMRES without a probe, and the auto paths solve it. The
+/// 40 x 40 tridiagonal has diagonal 4 (except `a_00 = -4`), superdiagonal
+/// 1 and subdiagonal 0.5, a Jacobi spectral radius of about 0.35.
+#[test]
+fn nonsym_negative_diagonal_routes_to_gmres_without_a_probe() {
+    let n = 40;
+    let mut dense = vec![0.0; n * n];
+    for i in 0..n {
+        dense[i * n + i] = if i == 0 { -4.0 } else { 4.0 };
+        if i + 1 < n {
+            dense[i * n + i + 1] = 1.0;
+            dense[(i + 1) * n + i] = 0.5;
+        }
+    }
+    let a = CsrMatrix::from_dense(n, n, &dense);
+    let x_true: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.4).collect();
+    let b = a.matvec(&x_true);
+
+    let d = decide_for(&a).expect("profilable");
+    assert_eq!(
+        (d.family, d.rule),
+        (PolicyFamily::Gmres, "nonsym-indefinite")
+    );
+    assert_eq!(d.precond, PolicyPrecond::Identity);
+    assert_eq!(d.profile.spectral.probe_matvecs, 0);
+    assert_matches_forced_probe("nonsym_negative_diagonal", &a);
+
+    let mut x = vec![0.0; n];
+    let rep = SolverBuilder::auto(&a)
+        .and_then(|builder| builder.build())
+        .and_then(|mut session| session.solve(&a, &b, &mut x))
+        .expect("auto solves it");
+    assert!(rep.converged_early, "residual {}", rep.final_rel_residual);
+
+    let sched = Scheduler::new(SchedulerConfig::default());
+    let served = sched
+        .submit(SolveJob::auto(Arc::new(a), b))
+        .unwrap()
+        .wait()
+        .result
+        .expect("served auto job");
+    assert!(served.converged_early);
+}
