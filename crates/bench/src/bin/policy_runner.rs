@@ -20,19 +20,15 @@
 //! `ASYRGS_BENCH_SMOKE=1` — small-`n` scenario subset (CI);
 //! `ASYRGS_THREADS=N` — global pool width.
 
-use asyrgs::policy::decide_for;
-use asyrgs::session::{SolverBuilder, SolverFamily};
+use asyrgs::policy::{decide_for, FAMILIES};
+use asyrgs::session::{PrecondSpec, SolverBuilder, SolverFamily};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::lsq::LsqOperator;
-use asyrgs_core::policy::{PolicyDecision, PolicyPrecond};
 use asyrgs_workloads::scenarios::{
     all_scenarios, smoke_scenarios, Expectation, Scenario, ScenarioClass,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// The families the policy can select, by session name.
-const CANDIDATES: [&str; 5] = ["cg", "fcg", "bicgstab", "gmres", "rcd"];
 
 /// One per-scenario policy row.
 struct Row {
@@ -69,9 +65,9 @@ fn rank(e: Expectation) -> u8 {
 }
 
 fn best_available(sc: &Scenario) -> Expectation {
-    CANDIDATES
+    FAMILIES
         .iter()
-        .map(|f| sc.expectation(f))
+        .map(|f| sc.expectation(f.name()))
         .max_by_key(|&e| rank(e))
         .unwrap()
 }
@@ -79,8 +75,7 @@ fn best_available(sc: &Scenario) -> Expectation {
 /// Run one `scenario x family` cell under the exact `scenario_runner`
 /// harness (threads 2, record every iteration, non-finite-only watchdog)
 /// and return (iterations-to-tolerance, final relative residual).
-fn run_cell(sc: &Scenario, family_name: &str) -> (Option<u64>, f64) {
-    let family = SolverFamily::from_name(family_name).unwrap();
+fn run_cell(sc: &Scenario, family: SolverFamily) -> (Option<u64>, f64) {
     let built = sc.build();
     let mut session = SolverBuilder::new(family)
         .threads(2)
@@ -105,15 +100,15 @@ fn run_cell(sc: &Scenario, family_name: &str) -> (Option<u64>, f64) {
                 .map(|r| r.iterations);
             (to_tol, rep.final_rel_residual)
         }
-        Err(e) => panic!("{}/{family_name}: rejected: {e}", sc.name),
+        Err(e) => panic!("{}/{}: rejected: {e}", sc.name, family.name()),
     }
 }
 
-fn precond_name(d: &PolicyDecision) -> String {
-    match d.precond {
-        PolicyPrecond::Identity => "identity".to_string(),
-        PolicyPrecond::Jacobi => "jacobi".to_string(),
-        PolicyPrecond::AsyRgs { inner_sweeps } => format!("asyrgs(inner_sweeps={inner_sweeps})"),
+fn precond_name(precond: PrecondSpec) -> String {
+    match precond {
+        PrecondSpec::Identity => "identity".to_string(),
+        PrecondSpec::AsyRgs { inner_sweeps } => format!("asyrgs(inner_sweeps={inner_sweeps})"),
+        other => format!("{other:?}"),
     }
 }
 
@@ -122,16 +117,16 @@ fn evaluate(sc: &Scenario) -> Row {
     let t = Instant::now();
     let d = decide_for(&built.a)
         .unwrap_or_else(|e| panic!("{}: policy rejected the scenario: {e}", sc.name));
-    let picked = d.family.name();
-    let expectation = sc.expectation(picked);
+    let picked = d.family;
+    let expectation = sc.expectation(picked.name());
     let best_tag = best_available(sc);
     let (picked_to_tol, final_rel_residual) = run_cell(sc, picked);
     // The comparison pool: every candidate cell tagged Converges.
-    let best_to_tol = CANDIDATES
-        .iter()
-        .filter(|f| sc.expectation(f) == Expectation::Converges)
+    let best_to_tol = FAMILIES
+        .into_iter()
+        .filter(|f| sc.expectation(f.name()) == Expectation::Converges)
         .filter_map(|f| {
-            if *f == picked {
+            if f == picked {
                 picked_to_tol
             } else {
                 run_cell(sc, f).0
@@ -166,9 +161,9 @@ fn evaluate(sc: &Scenario) -> Row {
             ScenarioClass::SquareNonsym => "square_nonsym",
             ScenarioClass::LeastSquares => "least_squares",
         },
-        family: picked,
+        family: picked.name(),
         rule: d.rule,
-        precond: precond_name(&d),
+        precond: precond_name(d.precond),
         threads: d.threads,
         fallback: d.fallback.iter().map(|f| f.name()).collect(),
         kappa: d.profile.spectral.kappa,

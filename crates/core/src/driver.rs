@@ -366,11 +366,6 @@ impl Driver {
         self.term.max_sweeps
     }
 
-    /// Wall-clock seconds since the driver was created.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Whether the residual target has been reached.
     pub fn converged(&self) -> bool {
         self.converged

@@ -15,10 +15,6 @@
 //!   control (Section 6);
 //! * [`lsq`] — randomized coordinate descent for overdetermined least
 //!   squares and its asynchronous variant (Section 8);
-//! * [`policy`] — the deterministic solver policy: profile a matrix
-//!   (shape, symmetry, diagonal dominance, optional spectral probes) and
-//!   pick a solver family, preconditioner, and thread count with an
-//!   evidence-carrying [`PolicyDecision`];
 //! * [`theory`] — every convergence bound of the paper (Eq. (2),
 //!   Theorems 2-5) as executable formulas, with optimal step sizes;
 //! * [`atomic`] — the `AtomicF64` / shared-vector substrate implementing
@@ -60,7 +56,6 @@ pub mod health;
 pub mod jacobi;
 pub mod lsq;
 pub mod partitioned;
-pub mod policy;
 pub mod report;
 pub mod rgs;
 pub mod theory;
@@ -84,10 +79,6 @@ pub use lsq::{
 };
 pub use partitioned::{
     partitioned_solve_in, try_partitioned_solve, PartitionedOptions, PartitionedReport,
-};
-pub use policy::{
-    MatrixProfile, PolicyDecision, PolicyFamily, PolicyPrecond, SolverPolicy, SpectralEvidence,
-    SYMMETRY_TOL,
 };
 pub use report::{RecoveryAttempt, SolveReport, SweepRecord};
 pub use rgs::{

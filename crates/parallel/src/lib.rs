@@ -489,9 +489,10 @@ pub enum FaultSpec {
     },
 }
 
-/// A deterministic, seed-driven fault-injection schedule, honored by
-/// [`WorkerPool::run_with_faults`], the asynchronous solvers (poisoned
-/// updates), and the sequential delay executor in `asyrgs-sim`.
+/// A deterministic, seed-driven fault-injection schedule, honored by the
+/// asynchronous solvers (pool-level faults through
+/// [`FaultPlan::apply_pool_faults`], and poisoned updates) and the
+/// sequential delay executor in `asyrgs-sim`.
 ///
 /// The plan itself carries no randomness at injection time: every fault
 /// names the worker and round it fires at, so two runs of the same plan
@@ -538,9 +539,8 @@ impl FaultPlan {
     }
 
     /// Apply the pool-level faults for `worker` at `round`: stalls and
-    /// slow clocks sleep, a kill panics. Called by
-    /// [`WorkerPool::run_with_faults`] at the start of the worker's round
-    /// body.
+    /// slow clocks sleep, a kill panics. The asynchronous solvers call it
+    /// at the start of each worker's round body.
     ///
     /// # Panics
     /// Panics (by design) when a [`FaultSpec::KillWorker`] matches.
@@ -600,34 +600,6 @@ impl FaultPlan {
             FaultSpec::PoisonUpdate { round, index, .. } if round == j => Some(index),
             _ => None,
         })
-    }
-}
-
-impl WorkerPool {
-    /// [`run`](Self::run) with a [`FaultPlan`] applied: each worker first
-    /// runs the plan's pool-level faults for `(worker, round)` — sleeping
-    /// for stalls/slow clocks, panicking for kills — then the job body.
-    /// With an empty plan this is exactly `run`.
-    ///
-    /// # Panics
-    /// Panics like [`run`](Self::run); additionally re-raises the
-    /// injected panic of a matching [`FaultSpec::KillWorker`] after the
-    /// round completes.
-    pub fn run_with_faults<F: Fn(usize) + Sync>(
-        &self,
-        p: usize,
-        plan: &FaultPlan,
-        round: u64,
-        f: F,
-    ) {
-        if plan.is_empty() {
-            self.run(p, f);
-            return;
-        }
-        self.run(p, |w| {
-            plan.apply_pool_faults(w, round);
-            f(w);
-        });
     }
 }
 
@@ -711,23 +683,6 @@ impl SlotAccountant {
             acct: self,
             granted,
         }
-    }
-
-    /// Lease exactly `want` slots if they are all free right now, without
-    /// blocking.
-    pub fn try_lease_exact(&self, want: usize) -> Option<SlotLease<'_>> {
-        if want == 0 {
-            return None;
-        }
-        let mut avail = self.available.lock().unwrap_or_else(|e| e.into_inner());
-        if *avail < want {
-            return None;
-        }
-        *avail -= want;
-        Some(SlotLease {
-            acct: self,
-            granted: want,
-        })
     }
 }
 
@@ -953,16 +908,6 @@ mod tests {
         assert_eq!(acct.available(), 1);
         drop(a);
         assert_eq!(acct.available(), 3);
-    }
-
-    #[test]
-    fn try_lease_exact_is_all_or_nothing() {
-        let acct = SlotAccountant::new(2);
-        let held = acct.try_lease_exact(2).expect("all free");
-        assert!(acct.try_lease_exact(1).is_none(), "nothing free");
-        drop(held);
-        assert!(acct.try_lease_exact(3).is_none(), "beyond capacity");
-        assert_eq!(acct.try_lease_exact(1).unwrap().granted(), 1);
     }
 
     #[test]

@@ -79,15 +79,6 @@ impl Xoshiro256pp {
         (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos()
     }
 
-    /// Sample from a (truncated) Zipf distribution on `{1, ..., n}` with
-    /// exponent `s > 0` via inverse-CDF on precomputed weights.
-    ///
-    /// For repeated sampling prefer [`ZipfSampler`], which precomputes the
-    /// cumulative table once.
-    pub fn next_zipf(&mut self, n: usize, s: f64) -> usize {
-        ZipfSampler::new(n, s).sample(self)
-    }
-
     /// Fisher-Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

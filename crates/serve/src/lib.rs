@@ -45,17 +45,17 @@
 //!   registry lock.
 //!
 //! A job without an explicit family — [`SolveJob::auto`] — is routed by
-//! the **solver policy** (`asyrgs::policy`, decision function in
-//! `asyrgs_core::policy`): admission profiles the matrix, runs a
-//! fixed-seed spectral probe on the submitting thread where the probe can
-//! change the pick (a Gershgorin bound certifies strictly diagonally
-//! dominant SPD matrices without one), and configures the job from the
-//! resulting
-//! [`PolicyDecision`](asyrgs_core::policy::PolicyDecision). The registry
-//! caches the finished decision per content fingerprint, so repeat
-//! tenants of the same matrix skip the probe
-//! ([`Scheduler::policy_preview`] inspects the decision without
-//! submitting; explicit-family jobs bypass the policy entirely).
+//! the **solver policy** ([`asyrgs::policy`]): admission profiles the
+//! matrix, runs a fixed-seed spectral probe on the submitting thread where
+//! the probe can change the pick (a Gershgorin bound certifies strictly
+//! diagonally dominant SPD matrices without one), and configures the job
+//! from the resulting [`PolicyDecision`](asyrgs::policy::PolicyDecision).
+//! The registry caches the finished decision on the registered matrix, so
+//! repeat tenants of the same matrix skip the probe; a matrix that only
+//! shares a fingerprint with it (a hash collision) gets neither its
+//! decision nor its warm starts ([`Scheduler::policy_preview`] inspects
+//! the decision without submitting; explicit-family jobs bypass the
+//! policy entirely).
 //!
 //! Failed jobs (cancelled, deadline-expired, rejected) never expose a
 //! partially-updated iterate: the outcome's `x` is bitwise the submitted

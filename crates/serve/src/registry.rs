@@ -11,9 +11,12 @@
 //!
 //! Each registry entry holds that canonical matrix plus the solver-policy
 //! decision, resolved lazily by the first `auto` job or preview against
-//! the fingerprint and reused by every later one. The caller computes
-//! the fingerprint and runs the policy probe without holding the
-//! registry's lock, then hands in the results (`admit`, `store_policy`).
+//! the matrix and reused by every later one. The caller computes the
+//! fingerprint and runs the policy probe without holding the registry's
+//! lock, then hands in the results (`admit`, `store_policy`). A cached
+//! decision or warm start is served only to the matrix it was made for:
+//! the lookups take the matrix as well as its fingerprint, and a
+//! fingerprint collision finds nothing.
 //! Entries are evicted in LRU order under a byte budget, but never while
 //! a job that admitted through them is still in flight.
 //!
@@ -25,7 +28,7 @@
 //! resubmission after a watchdog trip falls back to the caller's x0.
 
 use crate::job::TenantId;
-use asyrgs_core::policy::PolicyDecision;
+use asyrgs::policy::PolicyDecision;
 use asyrgs_sparse::{CooBuilder, CsrMatrix, RowAccess};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -130,7 +133,7 @@ pub struct MatrixArtifacts {
     pub a: Arc<CsrMatrix>,
     /// The solver-policy decision for this matrix, resolved lazily by the
     /// first `auto` job (or [`Scheduler::policy_preview`]) against this
-    /// fingerprint and reused by every later one — repeat tenants pay the
+    /// matrix and reused by every later one — repeat tenants pay the
     /// policy's spectral probe, where it runs, once per registered matrix.
     /// `None` until
     /// some job asked for a policy decision: explicit-family jobs never
@@ -409,15 +412,25 @@ impl MatrixRegistry {
         self.evict_to_budget();
     }
 
-    /// The tenant's stored solution for this fingerprint, if any, and
-    /// count the warm start.
+    /// The entry registered under `fp` if it holds the matrix `a`: the
+    /// same allocation (one pointer compare, the case for every admitted
+    /// job), else bitwise the same content. `None` when `fp` is not
+    /// registered or belongs to another matrix (a fingerprint collision).
+    fn entry_for(&mut self, fp: MatrixFingerprint, a: &CsrMatrix) -> Option<&mut Entry> {
+        self.entries
+            .get_mut(&fp)
+            .filter(|e| std::ptr::eq(&*e.artifacts.a, a) || bitwise_equal(&e.artifacts.a, a))
+    }
+
+    /// The tenant's stored solution for the matrix `a` under fingerprint
+    /// `fp`, if any, and count the warm start.
     pub(crate) fn take_warm_start(
         &mut self,
         fp: MatrixFingerprint,
+        a: &CsrMatrix,
         tenant: TenantId,
     ) -> Option<Vec<f64>> {
-        let entry = self.entries.get_mut(&fp)?;
-        let x = entry.warm.get(&tenant).cloned()?;
+        let x = self.entry_for(fp, a)?.warm.get(&tenant).cloned()?;
         self.warm_starts += 1;
         Some(x)
     }
@@ -453,13 +466,17 @@ impl MatrixRegistry {
         self.entries.get(&fp).map(|e| e.artifacts.clone())
     }
 
-    /// The cached solver-policy decision for this fingerprint, counted as
-    /// a *policy hit* (no matvec spent); `None` when the entry carries
-    /// none yet or the fingerprint is not registered. On `None` the
-    /// caller runs the probe with the registry unlocked and hands the
-    /// result to [`Self::store_policy`].
-    pub(crate) fn cached_policy(&mut self, fp: MatrixFingerprint) -> Option<Arc<PolicyDecision>> {
-        let d = self.entries.get(&fp)?.artifacts.policy.clone()?;
+    /// The cached solver-policy decision for the matrix `a` under
+    /// fingerprint `fp`, counted as a *policy hit* (no matvec spent);
+    /// `None` when the entry carries none yet or `fp` does not register
+    /// `a`. On `None` the caller runs the probe with the registry unlocked
+    /// and hands the result to [`Self::store_policy`].
+    pub(crate) fn cached_policy(
+        &mut self,
+        fp: MatrixFingerprint,
+        a: &CsrMatrix,
+    ) -> Option<Arc<PolicyDecision>> {
+        let d = self.entry_for(fp, a)?.artifacts.policy.clone()?;
         self.policy_hits += 1;
         Some(d)
     }
@@ -470,14 +487,15 @@ impl MatrixRegistry {
     /// both get it back. Cached and fresh decisions are identical by
     /// construction — the probe is a pure function of the matrix bits —
     /// so the cache is an observable cost optimization, never a behavior
-    /// change. An unregistered fingerprint caches nothing.
+    /// change. A fingerprint that does not register `a` caches nothing.
     pub(crate) fn store_policy(
         &mut self,
         fp: MatrixFingerprint,
+        a: &CsrMatrix,
         decision: Arc<PolicyDecision>,
     ) -> Arc<PolicyDecision> {
         self.policy_probes += 1;
-        match self.entries.get_mut(&fp) {
+        match self.entry_for(fp, a) {
             Some(entry) => Arc::clone(entry.artifacts.policy.get_or_insert(decision)),
             None => decision,
         }
@@ -633,6 +651,7 @@ fn patch_matrix(a: &CsrMatrix, update: &MatrixUpdate) -> Result<CsrMatrix, Updat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asyrgs::session::SolverFamily;
     use asyrgs::workloads;
 
     fn arc(a: CsrMatrix) -> Arc<CsrMatrix> {
@@ -702,30 +721,33 @@ mod tests {
         let mut reg = MatrixRegistry::new(usize::MAX);
         let a = arc(workloads::laplace2d(6, 6));
         let (fp, _) = admit(&mut reg, &a);
-        assert!(reg.cached_policy(fp).is_none(), "nothing stored yet");
+        assert!(reg.cached_policy(fp, &a).is_none(), "nothing stored yet");
         assert_eq!(reg.stats().policy_hits, 0, "a miss is not a hit");
         let d1 = Arc::new(asyrgs::policy::decide_for(&a).expect("spd input"));
-        let stored = reg.store_policy(fp, Arc::clone(&d1));
+        let stored = reg.store_policy(fp, &a, Arc::clone(&d1));
         assert!(Arc::ptr_eq(&stored, &d1));
         assert_eq!(reg.stats().policy_probes, 1);
         assert_eq!(reg.stats().policy_hits, 0);
-        let d2 = reg.cached_policy(fp).expect("cached");
+        let d2 = reg.cached_policy(fp, &a).expect("cached");
         assert_eq!(reg.stats().policy_probes, 1);
         assert_eq!(reg.stats().policy_hits, 1);
         assert!(Arc::ptr_eq(&d1, &d2), "hit serves the cached Arc");
         // A racing second probe of the same matrix is counted but does
         // not replace the decision already cached.
         let late = Arc::new(asyrgs::policy::decide_for(&a).expect("spd input"));
-        let kept = reg.store_policy(fp, late);
+        let kept = reg.store_policy(fp, &a, late);
         assert!(Arc::ptr_eq(&kept, &d1), "the first stored decision wins");
-        assert!(Arc::ptr_eq(&reg.cached_policy(fp).expect("cached"), &d1));
+        assert!(Arc::ptr_eq(
+            &reg.cached_policy(fp, &a).expect("cached"),
+            &d1
+        ));
         assert_eq!(reg.stats().policy_probes, 2);
         assert_eq!(reg.stats().policy_hits, 2);
         // A structurally unservable matrix fails to profile: the caller
         // stores nothing, so nothing is counted or cached.
         let zero_diag = arc(CsrMatrix::from_dense(2, 2, &[0.0, 1.0, 1.0, 2.0]));
         let (fp, _) = admit(&mut reg, &zero_diag);
-        assert!(reg.cached_policy(fp).is_none());
+        assert!(reg.cached_policy(fp, &zero_diag).is_none());
         assert!(asyrgs::policy::decide_for(&zero_diag).is_err());
         assert_eq!(reg.stats().policy_probes, 2, "failed profiling is free");
         assert_eq!(reg.stats().policy_hits, 2);
@@ -757,13 +779,52 @@ mod tests {
         let a = arc(workloads::laplace2d(4, 4));
         let (fp, _) = admit(&mut reg, &a);
         let t = TenantId(9);
-        assert!(reg.take_warm_start(fp, t).is_none());
+        assert!(reg.take_warm_start(fp, &a, t).is_none());
         let x = vec![1.5; a.n_rows()];
         reg.record_solution(fp, t, &x);
-        assert_eq!(reg.take_warm_start(fp, t).as_deref(), Some(&x[..]));
-        assert!(reg.take_warm_start(fp, TenantId(10)).is_none());
+        assert_eq!(reg.take_warm_start(fp, &a, t).as_deref(), Some(&x[..]));
+        assert!(reg.take_warm_start(fp, &a, TenantId(10)).is_none());
         reg.invalidate_warm(fp, t);
-        assert!(reg.take_warm_start(fp, t).is_none());
+        assert!(reg.take_warm_start(fp, &a, t).is_none());
+    }
+
+    /// A fingerprint collision: a second matrix admitted under the first
+    /// one's fingerprint runs unregistered, and is served neither the
+    /// first matrix's policy decision nor its warm start, while the first
+    /// matrix keeps both.
+    #[test]
+    fn a_colliding_matrix_gets_no_cached_decision_or_warm_start() {
+        let mut reg = MatrixRegistry::new(usize::MAX);
+        let spd = arc(workloads::laplace2d(6, 6));
+        let (fp, _) = admit(&mut reg, &spd);
+        let t = TenantId(3);
+        let cg = Arc::new(asyrgs::policy::decide_for(&spd).expect("spd input"));
+        assert_eq!(cg.family, SolverFamily::Cg);
+        reg.store_policy(fp, &spd, Arc::clone(&cg));
+        reg.record_solution(fp, t, &[0.5; 36]);
+        // Halve a_01 alone: nonsymmetric, and bitwise different content
+        // admitted under the Laplacian's fingerprint.
+        let mut skewed = workloads::laplace2d(6, 6);
+        skewed.values_mut()[1] *= 0.5;
+        let skewed = arc(skewed);
+        let adm = reg.admit(fp, &skewed);
+        assert!(!adm.registered && Arc::ptr_eq(&adm.canonical, &skewed));
+        assert_eq!(reg.stats().collisions, 1);
+        assert!(reg.cached_policy(fp, &skewed).is_none());
+        assert!(reg.take_warm_start(fp, &skewed, t).is_none());
+        let own = Arc::new(asyrgs::policy::decide_for(&skewed).expect("nonsym input"));
+        assert_eq!(own.family, SolverFamily::Bicgstab);
+        let served = reg.store_policy(fp, &skewed, Arc::clone(&own));
+        assert!(Arc::ptr_eq(&served, &own), "its own decision, not cached");
+        // The registered Laplacian keeps its decision and warm start, also
+        // when a bitwise copy of it asks.
+        let copy = workloads::laplace2d(6, 6);
+        assert!(Arc::ptr_eq(
+            &reg.cached_policy(fp, &copy).expect("cached"),
+            &cg
+        ));
+        assert!(reg.take_warm_start(fp, &spd, t).is_some());
+        assert_eq!(reg.stats().warm_starts, 1);
     }
 
     #[test]
@@ -792,7 +853,7 @@ mod tests {
         // Pattern unchanged; warm state carried over.
         assert_eq!(art.a.row_ptr(), a.row_ptr());
         assert_eq!(art.a.col_idx(), a.col_idx());
-        assert!(reg.take_warm_start(new_fp, t).is_some());
+        assert!(reg.take_warm_start(new_fp, &art.a, t).is_some());
         // Source Arc untouched (copy-on-write).
         assert_eq!(a.diag(), old_diag);
     }

@@ -42,9 +42,9 @@ use crate::mpmc::MpmcQueue;
 use crate::registry::{
     MatrixArtifacts, MatrixFingerprint, MatrixRegistry, MatrixUpdate, RegistryStats, UpdateError,
 };
+use asyrgs::policy::PolicyDecision;
 use asyrgs::session::SolverBuilder;
 use asyrgs_core::error::SolveError;
-use asyrgs_core::policy::PolicyDecision;
 use asyrgs_core::report::SolveReport;
 use asyrgs_parallel::SlotAccountant;
 use asyrgs_sparse::CsrMatrix;
@@ -588,16 +588,9 @@ impl Scheduler {
             // with nonsymmetric systems submit the bicgstab/gmres families
             // — or a policy-routed `SolveJob::auto`, which picks one.
             let family = job.builder.configured_family();
-            if family.requires_symmetric() && !job.a.is_symmetric(asyrgs::session::SYMMETRY_TOL) {
+            if let Err(error) = family.check_symmetry("serve_submit", job.a.as_ref()) {
                 return Err(SubmitError::Rejected {
-                    error: SolveError::DimensionMismatch {
-                        solver: "serve_submit",
-                        detail: format!(
-                            "family '{}' requires a symmetric operator, but A != A^T; \
-                             use the bicgstab or gmres family for nonsymmetric systems",
-                            family.name()
-                        ),
-                    },
+                    error,
                     job: Box::new(job),
                 });
             }
@@ -631,14 +624,14 @@ impl Scheduler {
             // spectral probe, every later one reuses the cached decision
             // bit-for-bit. The admission pin keeps the entry from being
             // evicted while the probe runs unlocked.
-            let decision = match reg.cached_policy(fp) {
+            let decision = match reg.cached_policy(fp, &job.a) {
                 Some(decision) => decision,
                 None => {
                     drop(reg);
                     let probed = asyrgs::policy::decide_for(&job.a);
                     reg = self.inner.registry();
                     match probed {
-                        Ok(decision) => reg.store_policy(fp, Arc::new(decision)),
+                        Ok(decision) => reg.store_policy(fp, &job.a, Arc::new(decision)),
                         Err(error) => {
                             if let Some(fp) = fingerprint {
                                 reg.release(fp);
@@ -659,7 +652,7 @@ impl Scheduler {
             // caller-supplied x0 always wins, and a stored solution is
             // only trusted if it is still finite.
             if job.x0.iter().all(|&v| v == 0.0) {
-                if let Some(x) = reg.take_warm_start(fp, job.tenant) {
+                if let Some(x) = reg.take_warm_start(fp, &job.a, job.tenant) {
                     if x.len() == job.x0.len() && x.iter().all(|v| v.is_finite()) {
                         job.x0 = x;
                         warm_started = true;
@@ -809,12 +802,12 @@ impl Scheduler {
     /// policy-selectable solver could accept.
     pub fn policy_preview(&self, a: &CsrMatrix) -> Result<Arc<PolicyDecision>, SolveError> {
         let fp = MatrixFingerprint::of(a);
-        let cached = self.inner.registry().cached_policy(fp);
+        let cached = self.inner.registry().cached_policy(fp, a);
         if let Some(decision) = cached {
             return Ok(decision);
         }
         let decision = Arc::new(asyrgs::policy::decide_for(a)?);
-        Ok(self.inner.registry().store_policy(fp, decision))
+        Ok(self.inner.registry().store_policy(fp, a, decision))
     }
 
     /// Patch a registered operator in place of a fresh registration: the
@@ -1488,7 +1481,7 @@ mod tests {
         h2.wait().result.expect("cached decision still converges");
         let d2 = sched.policy_preview(&a).unwrap();
         assert_eq!(*d1, *d2);
-        assert_eq!(d1.family, asyrgs_core::policy::PolicyFamily::Cg);
+        assert_eq!(d1.family, SolverFamily::Cg);
         let stats = sched.registry_stats();
         assert_eq!(stats.policy_probes, 1);
         assert_eq!(stats.policy_hits, 3);

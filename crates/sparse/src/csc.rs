@@ -79,11 +79,6 @@ impl CscMatrix {
     pub fn to_csr(&self) -> CsrMatrix {
         self.at.transpose()
     }
-
-    /// The internal transposed CSR (`A^T` as CSR).
-    pub fn transposed_csr(&self) -> &CsrMatrix {
-        &self.at
-    }
 }
 
 #[cfg(test)]

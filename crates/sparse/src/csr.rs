@@ -626,8 +626,8 @@ impl CsrMatrix {
     ///
     /// `1.0` means a diagonal matrix, `0.0` a weakly dominant row, negative
     /// values rows whose off-diagonal mass exceeds the diagonal. This is the
-    /// canonical margin shared by the solver policy
-    /// (`asyrgs_core::policy`) and the scenario registry's
+    /// canonical margin shared by the solver policy (`asyrgs::policy`)
+    /// and the scenario registry's
     /// `dominance_margin()` accessor — compute it here, nowhere else.
     ///
     /// Returns `None` for non-square matrices and for matrices with a zero

@@ -301,7 +301,7 @@ impl Scenario {
 
     /// The canonical row diagonal-dominance margin of the built system —
     /// [`CsrMatrix::dominance_margin`] on the scenario matrix, the same
-    /// value the solver policy (`asyrgs_core::policy`) profiles. `None`
+    /// value the solver policy (`asyrgs::policy`) profiles. `None`
     /// for least-squares scenarios and any system with a zero diagonal
     /// entry, where the margin is undefined.
     pub fn dominance_margin(&self, built: &BuiltScenario) -> Option<f64> {

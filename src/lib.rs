@@ -87,7 +87,7 @@ pub mod session;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use crate::policy::decide_for;
+    pub use crate::policy::{decide_for, MatrixProfile, PolicyDecision, SpectralEvidence};
     pub use crate::session::{PrecondSpec, SolveSession, SolverBuilder, SolverFamily};
     pub use asyrgs_core::asyrgs::{
         try_asyrgs_solve, try_asyrgs_solve_block, AsyRgsOptions, WriteMode,
@@ -99,9 +99,6 @@ pub mod prelude {
     pub use asyrgs_core::lsq::{try_async_rcd_solve, try_rcd_solve, LsqOperator, LsqSolveOptions};
     pub use asyrgs_core::partitioned::{
         try_partitioned_solve, PartitionedOptions, PartitionedReport,
-    };
-    pub use asyrgs_core::policy::{
-        MatrixProfile, PolicyDecision, PolicyFamily, PolicyPrecond, SolverPolicy, SpectralEvidence,
     };
     pub use asyrgs_core::report::{RecoveryAttempt, SolveReport, SweepRecord};
     pub use asyrgs_core::rgs::{try_rgs_solve, try_rgs_solve_block, RgsOptions};

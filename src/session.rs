@@ -197,18 +197,49 @@ impl SolverFamily {
                 | SolverFamily::Fcg
         )
     }
+
+    /// The symmetry admission check of the session and
+    /// `Scheduler::submit`: when this family
+    /// [`requires_symmetric`](Self::requires_symmetric), reject a square
+    /// `a` that is not symmetric to [`SYMMETRY_TOL`]. A non-square `a`
+    /// passes, so it reaches the caller's own shape check.
+    ///
+    /// # Errors
+    /// [`SolveError::DimensionMismatch`] labelled `solver`, naming the
+    /// family and the nonsymmetric families to use instead.
+    pub fn check_symmetry<O: RowAccess + ?Sized>(
+        &self,
+        solver: &'static str,
+        a: &O,
+    ) -> Result<(), SolveError> {
+        if !self.requires_symmetric()
+            || a.n_rows() != a.n_cols()
+            || operator_is_symmetric(a, SYMMETRY_TOL)
+        {
+            return Ok(());
+        }
+        Err(SolveError::DimensionMismatch {
+            solver,
+            detail: format!(
+                "family '{}' requires a symmetric operator, but A != A^T; \
+                 use the bicgstab or gmres family for nonsymmetric systems",
+                self.name()
+            ),
+        })
+    }
 }
 
-/// Absolute entrywise tolerance for the session/serve symmetry
-/// admission check: `|a_ij - a_ji|` at or below this is still symmetric.
-/// An alias of the canonical [`asyrgs_core::policy::SYMMETRY_TOL`] — the
-/// admission gate and the solver policy's profiling must agree on what
-/// "symmetric" means, or the policy could pick a family the gate rejects.
-pub const SYMMETRY_TOL: f64 = asyrgs_core::policy::SYMMETRY_TOL;
+/// Absolute entrywise tolerance for symmetry: `|a_ij - a_ji|` at or below
+/// this is still symmetric. The admission check
+/// ([`SolverFamily::check_symmetry`]) and the solver policy's profiling
+/// ([`MatrixProfile::structural`](crate::policy::MatrixProfile::structural))
+/// both use it: they must agree on what "symmetric" means, or the policy
+/// could pick a family the check rejects.
+pub const SYMMETRY_TOL: f64 = 1e-9;
 
 /// Whether a square operator is symmetric to an absolute entrywise
-/// tolerance — the admission check behind
-/// [`SolverFamily::requires_symmetric`], and a call to the backend's
+/// tolerance — the test behind [`SolverFamily::check_symmetry`], and a
+/// call to the backend's
 /// [`RowAccess::is_symmetric`], so the session, `Scheduler::submit` and
 /// the solver policy share one implementation per backend.
 ///
@@ -802,22 +833,8 @@ impl SolveSession {
     ) -> Result<SolveReport, SolveError> {
         // Admission: the symmetric-theory families reject nonsymmetric
         // square operators with a typed error (and an untouched `x`)
-        // instead of silently diverging. Only square operators are
-        // checked here — non-square ones fall through to the per-family
-        // dimension validation, which owns that message.
-        if self.config.family.requires_symmetric()
-            && a.n_rows() == a.n_cols()
-            && !operator_is_symmetric(a, SYMMETRY_TOL)
-        {
-            return Err(SolveError::DimensionMismatch {
-                solver: "solve",
-                detail: format!(
-                    "family '{}' requires a symmetric operator, but A != A^T; \
-                     use the bicgstab or gmres family for nonsymmetric systems",
-                    self.config.family.name()
-                ),
-            });
-        }
+        // instead of silently diverging.
+        self.config.family.check_symmetry("solve", a)?;
         // Recovery only applies to the watchdog-aware families; for the
         // rest (and with recovery off) this is exactly one dispatch.
         let watchdog_aware = matches!(
@@ -1070,16 +1087,7 @@ impl SolveSession {
                 detail: format!("matrix must be square, got {} x {}", a.n_rows(), a.n_cols()),
             });
         }
-        if self.config.family.requires_symmetric() && !a.is_symmetric(SYMMETRY_TOL) {
-            return Err(SolveError::DimensionMismatch {
-                solver: "solve_many",
-                detail: format!(
-                    "family '{}' requires a symmetric operator, but A != A^T; \
-                     use the bicgstab or gmres family for nonsymmetric systems",
-                    self.config.family.name()
-                ),
-            });
-        }
+        self.config.family.check_symmetry("solve_many", a)?;
         let n = a.n_rows();
         for (i, (b, x)) in bs.iter().zip(xs.iter()).enumerate() {
             if b.len() != n || x.len() != a.n_cols() {

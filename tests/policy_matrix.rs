@@ -15,15 +15,14 @@
 //!   decision came fresh from the probe or out of the serve registry's
 //!   per-fingerprint cache;
 //! * pick exactly what the **always-probe pipeline** (`probe_spectral`
-//!   then `SolverPolicy::decide`) picks, although it skips the probe
-//!   wherever `SolverPolicy::needs_probe` is false.
+//!   then `decide`) picks, although it skips the probe wherever
+//!   `needs_probe` is false.
 //!
 //! Set `ASYRGS_SCENARIO_SMOKE=1` to restrict to the small-`n` subset (the
 //! CI smoke job runs that under 1- and 2-wide global pools).
 
-use asyrgs::policy::{decide_for, probe_spectral};
+use asyrgs::policy::{decide, decide_for, needs_probe, probe_spectral, FAMILIES, KAPPA_FLEX};
 use asyrgs::prelude::*;
-use asyrgs::session::{SolverBuilder, SolverFamily};
 use asyrgs::workloads::diag_dominant;
 use asyrgs::workloads::scenarios::{
     all_scenarios, find, smoke_scenarios, Expectation, Scenario, ScenarioClass,
@@ -31,11 +30,6 @@ use asyrgs::workloads::scenarios::{
 use asyrgs_serve::{Scheduler, SchedulerConfig, SolveJob};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// The families the policy can select, by session name. Everything the
-/// decision table can emit must appear here — `policy_picks_are_candidates`
-/// fails otherwise.
-const CANDIDATES: [&str; 5] = ["cg", "fcg", "bicgstab", "gmres", "rcd"];
 
 /// The corpus scenarios whose Gershgorin bound certifies the `spd` pick,
 /// so `decide_for` runs no spectral probe on them.
@@ -69,9 +63,9 @@ fn rank(e: Expectation) -> u8 {
 /// The best expectation tag any policy-selectable family carries on this
 /// scenario.
 fn best_available(sc: &Scenario) -> Expectation {
-    CANDIDATES
+    FAMILIES
         .iter()
-        .map(|f| sc.expectation(f))
+        .map(|f| sc.expectation(f.name()))
         .max_by_key(|&e| rank(e))
         .unwrap()
 }
@@ -80,8 +74,8 @@ fn best_available(sc: &Scenario) -> Expectation {
 /// `scenario_runner` uses for `BENCH_scenarios.json` (threads 2, record
 /// every iteration, non-finite-only watchdog, `tol * 0.5` target) and
 /// return (iterations-to-tolerance, final relative residual).
-fn run_cell(sc: &Scenario, family_name: &str) -> (Option<u64>, f64) {
-    let family = SolverFamily::from_name(family_name).unwrap();
+fn run_cell(sc: &Scenario, family: SolverFamily) -> (Option<u64>, f64) {
+    let family_name = family.name();
     let built = sc.build();
     let mut session = SolverBuilder::new(family)
         .threads(2)
@@ -117,7 +111,7 @@ fn policy_picks_the_best_available_cell_on_every_scenario() {
             .unwrap_or_else(|e| panic!("{}: policy rejected the scenario: {e}", sc.name));
         let picked = d.family.name();
         assert!(
-            CANDIDATES.contains(&picked),
+            FAMILIES.contains(&d.family),
             "{}: policy picked non-candidate family {picked}",
             sc.name
         );
@@ -144,10 +138,9 @@ fn policy_picks_the_best_available_cell_on_every_scenario() {
                 assert!(d.profile.symmetric, "{}", sc.name);
                 let s = d.profile.spectral;
                 let probed = s.kappa.is_some() && s.probe_matvecs > 0;
-                let kappa_flex = SolverPolicy::default().kappa_flex;
                 let certified = s.kappa.is_none()
                     && s.probe_matvecs == 0
-                    && d.profile.kappa_bound.is_some_and(|k| k < kappa_flex);
+                    && d.profile.kappa_bound.is_some_and(|k| k < KAPPA_FLEX);
                 assert!(
                     probed || certified,
                     "{}: neither probed nor certified: {:?} (bound {:?})",
@@ -170,10 +163,24 @@ fn policy_picks_the_best_available_cell_on_every_scenario() {
     }
 }
 
+/// What a decision picks: family, rule, preconditioner, threads and
+/// fallback chain, without the evidence.
+type Pick = (
+    SolverFamily,
+    &'static str,
+    PrecondSpec,
+    usize,
+    Vec<SolverFamily>,
+);
+
+fn pick(d: &PolicyDecision) -> Pick {
+    (d.family, d.rule, d.precond, d.threads, d.fallback.clone())
+}
+
 /// The always-probe reference: `probe_spectral` forced, then the rules.
 fn forced_probe(a: &CsrMatrix) -> PolicyDecision {
     let profile = MatrixProfile::structural(a).expect("profilable");
-    SolverPolicy::default().decide(&profile.with_spectral(probe_spectral(a, &profile)))
+    decide(&profile.with_spectral(probe_spectral(a, &profile)))
 }
 
 /// Hold `decide_for` to the always-probe pipeline on one matrix: the same
@@ -182,16 +189,14 @@ fn forced_probe(a: &CsrMatrix) -> PolicyDecision {
 /// at all where it does not. Returns whether the pick was certified by
 /// the Gershgorin bound.
 fn assert_matches_forced_probe(name: &str, a: &CsrMatrix) -> bool {
-    let policy = SolverPolicy::default();
     let d = decide_for(a).expect("profilable");
     let forced = forced_probe(a);
-    let pick = |d: &PolicyDecision| (d.family, d.rule, d.precond, d.threads, d.fallback.clone());
     assert_eq!(
         pick(&d),
         pick(&forced),
         "{name}: the skipped probe changed the pick"
     );
-    if policy.needs_probe(&d.profile) {
+    if needs_probe(&d.profile) {
         assert_eq!(
             d, forced,
             "{name}: a probed decision must be bitwise the forced one"
@@ -206,7 +211,7 @@ fn assert_matches_forced_probe(name: &str, a: &CsrMatrix) -> bool {
         },
         "{name}: a skipped probe leaves the structural profile alone"
     );
-    let Some(bound) = d.profile.kappa_bound.filter(|&k| k < policy.kappa_flex) else {
+    let Some(bound) = d.profile.kappa_bound.filter(|&k| k < KAPPA_FLEX) else {
         return false; // `lsq-tall` or `sym-indefinite`: shape and sign decide.
     };
     // Why the certificate cannot change the pick: the estimate it skips
@@ -263,13 +268,12 @@ fn skipping_the_probe_never_changes_a_pick() {
 fn policy_pick_is_within_2x_of_the_best_candidate() {
     for sc in scenarios_under_test() {
         let built = sc.build();
-        let d = decide_for(&built.a).unwrap();
-        let picked = d.family.name();
+        let picked = decide_for(&built.a).unwrap().family;
         if best_available(&sc) != Expectation::Converges {
             let (_, residual) = run_cell(&sc, picked);
             assert!(
                 residual.is_finite() && residual <= 1.0 + 1e-9,
-                "{}: no converging candidate, picked {picked} must progress \
+                "{}: no converging candidate, picked {picked:?} must progress \
                  (residual {residual:.3e})",
                 sc.name
             );
@@ -277,12 +281,12 @@ fn policy_pick_is_within_2x_of_the_best_candidate() {
         }
         let picked_to_tol = run_cell(&sc, picked)
             .0
-            .unwrap_or_else(|| panic!("{}: picked {picked} never reached tolerance", sc.name));
-        let best = CANDIDATES
-            .iter()
-            .filter(|f| sc.expectation(f) == Expectation::Converges)
+            .unwrap_or_else(|| panic!("{}: picked {picked:?} never reached tolerance", sc.name));
+        let best = FAMILIES
+            .into_iter()
+            .filter(|f| sc.expectation(f.name()) == Expectation::Converges)
             .filter_map(|f| {
-                if *f == picked {
+                if f == picked {
                     Some(picked_to_tol)
                 } else {
                     run_cell(&sc, f).0
@@ -292,38 +296,58 @@ fn policy_pick_is_within_2x_of_the_best_candidate() {
             .expect("a Converges-tagged candidate exists");
         assert!(
             picked_to_tol <= 2 * best,
-            "{}: picked {picked} took {picked_to_tol} iterations to tolerance, \
+            "{}: picked {picked:?} took {picked_to_tol} iterations to tolerance, \
              best candidate took {best} (2x bound exceeded)",
             sc.name
         );
     }
 }
 
-/// Determinism, including the picks the rest of the suite (and the docs'
-/// decision table) hardcode: repeated calls on the same matrix bits return
-/// bitwise-identical decisions, and the key scenarios land on their
-/// documented rules.
+/// Determinism, and the pick of every corpus scenario: repeated calls on
+/// the same matrix bits return bitwise-identical decisions, and each
+/// scenario lands on the family, rule, preconditioner, threads and
+/// fallback chain that `BENCH_policy.json` records for it.
 #[test]
 fn policy_decisions_are_bitwise_deterministic_with_documented_picks() {
-    for (name, family, rule) in [
-        ("laplace2d_16", PolicyFamily::Cg, "spd"),
-        ("gram_social", PolicyFamily::Fcg, "spd-illcond"),
-        ("kappa_1e2", PolicyFamily::Cg, "spd"),
-        ("kappa_1e6", PolicyFamily::Fcg, "spd-illcond"),
-        (
-            "conv_diff_pe_mid",
-            PolicyFamily::Bicgstab,
-            "nonsym-dominant",
-        ),
-        ("pagerank_style", PolicyFamily::Bicgstab, "nonsym-dominant"),
-        ("skew_dominant", PolicyFamily::Gmres, "nonsym-stiff"),
-        ("tall_lsq", PolicyFamily::Rcd, "lsq-tall"),
-    ] {
+    use SolverFamily::{Bicgstab, Cg, Fcg, Gmres, Rcd};
+    let identity = PrecondSpec::Identity;
+    let spd: Pick = (Cg, "spd", identity, 1, vec![Fcg, Gmres]);
+    let illcond: Pick = (Fcg, "spd-illcond", identity, 1, vec![Cg, Gmres]);
+    let asyrgs = PrecondSpec::AsyRgs { inner_sweeps: 2 };
+    let dominant: Pick = (Bicgstab, "nonsym-dominant", asyrgs, 2, vec![Gmres]);
+    let stiff: Pick = (Gmres, "nonsym-stiff", identity, 1, vec![]);
+    let tall: Pick = (Rcd, "lsq-tall", identity, 1, vec![]);
+    let documented = [
+        ("laplace2d_16", &spd),
+        ("laplace2d_32", &spd),
+        ("laplace3d_8", &spd),
+        ("gram_social", &illcond),
+        ("diag_dominant_easy", &spd),
+        ("barely_spd", &spd),
+        ("banded_b4", &spd),
+        ("random_sparse_spd", &spd),
+        ("kappa_1e2", &spd),
+        ("kappa_1e4", &illcond),
+        ("kappa_1e6", &illcond),
+        ("beyond_chazan_miranker", &spd),
+        ("reference_unit_diag", &spd),
+        ("conv_diff_pe_low", &dominant),
+        ("conv_diff_pe_mid", &dominant),
+        ("conv_diff_pe_high", &dominant),
+        ("pagerank_style", &dominant),
+        ("skew_perturbed_laplace", &dominant),
+        ("skew_dominant", &stiff),
+        ("tall_lsq", &tall),
+        ("tall_lsq_noisy", &tall),
+    ];
+    let corpus: Vec<_> = all_scenarios().iter().map(|sc| sc.name).collect();
+    let names: Vec<_> = documented.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, corpus, "every corpus scenario has a documented pick");
+    for (name, expected) in documented {
         let sc = find(name).expect("registered");
         let built = sc.build();
         let d1 = decide_for(&built.a).unwrap();
-        assert_eq!(d1.family, family, "{name}: rule {:?}", d1.rule);
-        assert_eq!(d1.rule, rule, "{name}");
+        assert_eq!(&pick(&d1), expected, "{name}");
         // Bitwise-repeatable: same bits in, same decision out — including
         // the float evidence, which PartialEq compares exactly.
         let d2 = decide_for(&built.a).unwrap();
@@ -436,9 +460,9 @@ fn nonsym_negative_diagonal_routes_to_gmres_without_a_probe() {
     let d = decide_for(&a).expect("profilable");
     assert_eq!(
         (d.family, d.rule),
-        (PolicyFamily::Gmres, "nonsym-indefinite")
+        (SolverFamily::Gmres, "nonsym-indefinite")
     );
-    assert_eq!(d.precond, PolicyPrecond::Identity);
+    assert_eq!(d.precond, PrecondSpec::Identity);
     assert_eq!(d.profile.spectral.probe_matvecs, 0);
     assert_matches_forced_probe("nonsym_negative_diagonal", &a);
 

@@ -7,13 +7,13 @@
 //! through `Scheduler::submit` exactly as tenants would, and the registry
 //! is observed only via `registry_stats`, `artifacts`, and job outcomes.
 
+use asyrgs::policy::KAPPA_FLEX;
 use asyrgs::session::{SolverBuilder, SolverFamily};
 use asyrgs::sparse::dense::norm2;
 use asyrgs::sparse::CsrMatrix;
 use asyrgs_core::atomic::SharedVec;
 use asyrgs_core::driver::Termination;
 use asyrgs_core::error::SolveError;
-use asyrgs_core::policy::{PolicyFamily, SolverPolicy};
 use asyrgs_serve::{Scheduler, SchedulerConfig, SolveJob, TenantId};
 use asyrgs_workloads::{diag_dominant, laplace2d};
 use std::sync::{Arc, Barrier};
@@ -446,12 +446,11 @@ fn certified_auto_job_resolves_its_decision_without_a_probe() {
         .expect("registered")
         .policy
         .expect("resolved at admission");
-    assert_eq!((decision.family, decision.rule), (PolicyFamily::Cg, "spd"));
+    assert_eq!((decision.family, decision.rule), (SolverFamily::Cg, "spd"));
     assert_eq!(decision.profile.spectral.probe_matvecs, 0);
     assert_eq!(decision.profile.spectral.kappa, None);
-    let kappa_flex = SolverPolicy::default().kappa_flex;
     assert!(
-        decision.profile.kappa_bound.is_some_and(|k| k < kappa_flex),
+        decision.profile.kappa_bound.is_some_and(|k| k < KAPPA_FLEX),
         "bound {:?}",
         decision.profile.kappa_bound
     );
