@@ -40,7 +40,8 @@ use asyrgs::session::{SolverBuilder, SolverFamily};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::error::SolveError;
 use asyrgs_serve::{
-    JobHandle, JobStats, MatrixUpdate, Scheduler, SchedulerConfig, SolveJob, TenantId,
+    JobHandle, JobStats, MatrixFingerprint, MatrixUpdate, Scheduler, SchedulerConfig, SolveJob,
+    TenantId,
 };
 use asyrgs_sparse::CsrMatrix;
 use asyrgs_workloads::scenarios;
@@ -423,7 +424,7 @@ fn registry_section(
     // (copy-on-write patch of the cached operator), then solve against
     // the patched fingerprint via its canonical artifacts.
     let (hot_a, hot_b) = &problems[0];
-    let hot_fp = Scheduler::fingerprint(hot_a);
+    let hot_fp = MatrixFingerprint::of(hot_a);
     let new_fp = sched
         .apply_matrix_update(
             hot_fp,

@@ -139,32 +139,6 @@ impl Default for AsyRgsOptions {
     }
 }
 
-impl AsyRgsOptions {
-    /// Set the step size to the theory-tuned value for the expected delay.
-    ///
-    /// Under normal circumstances `tau = O(P)` (Section 4's discussion of
-    /// Assumption A-3, and the Section 6 guideline for setting the step
-    /// size), so we take `tau = delay_factor * threads`:
-    /// `beta~ = 1/(1 + 2 rho tau)` for consistent reads,
-    /// `beta* = 1/(2 + rho_2 tau^2)` for inconsistent reads.
-    pub fn with_tuned_beta(
-        mut self,
-        params: &crate::theory::ProblemParams,
-        delay_factor: f64,
-    ) -> Self {
-        let tau = (delay_factor * self.threads as f64).ceil() as usize;
-        self.beta = match self.read_mode {
-            ReadMode::LockedConsistent => crate::theory::optimal_beta_consistent(params, tau),
-            ReadMode::Inconsistent => {
-                // The paper runs beta = 1 in practice even in the
-                // inconsistent model; the tuned value guards the guarantee.
-                crate::theory::optimal_beta_inconsistent(params, tau)
-            }
-        };
-        self
-    }
-}
-
 /// The synchronization interval actually used: the user's `epoch_sweeps`
 /// when given; otherwise one free-running epoch over the whole budget —
 /// unless a residual target or wall-clock budget needs sweep-granularity
@@ -1072,35 +1046,6 @@ mod tests {
         )
         .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(x1, x2);
-    }
-
-    #[test]
-    fn tuned_beta_is_applied_and_below_one() {
-        let params = crate::theory::ProblemParams {
-            n: 1000,
-            lambda_min: 0.01,
-            lambda_max: 2.0,
-            rho: 10.0 / 1000.0,
-            rho2: 2.0 / 1000.0,
-        };
-        let opts = AsyRgsOptions {
-            threads: 8,
-            ..Default::default()
-        }
-        .with_tuned_beta(&params, 1.0);
-        // Inconsistent default: beta* = 1/(2 + rho2 tau^2), tau = 8.
-        let want = 1.0 / (2.0 + params.rho2 * 64.0);
-        assert!((opts.beta - want).abs() < 1e-12);
-        assert!(opts.beta < 1.0);
-
-        let opts_c = AsyRgsOptions {
-            threads: 8,
-            read_mode: ReadMode::LockedConsistent,
-            ..Default::default()
-        }
-        .with_tuned_beta(&params, 1.0);
-        let want_c = 1.0 / (1.0 + 2.0 * params.rho * 8.0);
-        assert!((opts_c.beta - want_c).abs() < 1e-12);
     }
 
     #[test]

@@ -79,17 +79,6 @@ impl Philox4x32 {
         ctr
     }
 
-    /// Evaluate at a `u128` counter.
-    #[inline]
-    pub fn block_u128(&self, counter: u128) -> [u32; 4] {
-        self.block([
-            counter as u32,
-            (counter >> 32) as u32,
-            (counter >> 64) as u32,
-            (counter >> 96) as u32,
-        ])
-    }
-
     /// The `i`-th 64-bit output: block `i` of the counter space, low half.
     ///
     /// Each counter yields 128 bits; this convenience uses one block per
@@ -98,19 +87,6 @@ impl Philox4x32 {
     pub fn u64_at(&self, i: u64) -> u64 {
         let b = self.block([i as u32, (i >> 32) as u32, 0, 0]);
         (b[0] as u64) | ((b[1] as u64) << 32)
-    }
-
-    /// Second independent 64-bit lane at index `i` (words 2 and 3).
-    #[inline]
-    pub fn u64_at_lane2(&self, i: u64) -> u64 {
-        let b = self.block([i as u32, (i >> 32) as u32, 0, 0]);
-        (b[2] as u64) | ((b[3] as u64) << 32)
-    }
-
-    /// Uniform double in `[0, 1)` at index `i` (53-bit precision).
-    #[inline]
-    pub fn f64_at(&self, i: u64) -> f64 {
-        crate::util::u64_to_f64(self.u64_at(i))
     }
 
     /// Uniform index in `[0, n)` at counter `i`, via Lemire's widening
@@ -225,29 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn block_u128_consistent_with_block() {
-        let g = Philox4x32::from_seed(7);
-        let c: u128 = 0x0123_4567_89ab_cdef_0011_2233_4455_6677;
-        let a = g.block_u128(c);
-        let b = g.block([
-            c as u32,
-            (c >> 32) as u32,
-            (c >> 64) as u32,
-            (c >> 96) as u32,
-        ]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let g = Philox4x32::from_seed(99);
-        for i in 0..1000 {
-            let v = g.f64_at(i);
-            assert!((0.0..1.0).contains(&v), "f64_at out of range: {v}");
-        }
-    }
-
-    #[test]
     fn index_at_in_range_and_covers() {
         let g = Philox4x32::from_seed(5);
         let n = 17;
@@ -303,11 +256,5 @@ mod tests {
         for j in 0..100 {
             assert_eq!(a.direction(j), b.direction(j));
         }
-    }
-
-    #[test]
-    fn lanes_are_distinct() {
-        let g = Philox4x32::from_seed(8);
-        assert_ne!(g.u64_at(3), g.u64_at_lane2(3));
     }
 }

@@ -110,11 +110,6 @@ impl SolveJob {
         job
     }
 
-    /// Whether this job defers its solver configuration to the policy.
-    pub fn is_auto(&self) -> bool {
-        self.auto
-    }
-
     /// Start from this iterate instead of zeros (length is validated at
     /// submission).
     pub fn with_x0(mut self, x0: Vec<f64>) -> Self {
@@ -218,8 +213,9 @@ impl SolveJob {
 pub struct JobStats {
     /// Submission-to-dispatch wait.
     pub queued: Duration,
-    /// Dispatch-to-completion service time (zero when the job never
-    /// dispatched, e.g. cancelled while queued).
+    /// Service time from dispatch to publication, registry publish
+    /// included, on every path (zero when the job never dispatched, e.g.
+    /// cancelled while queued).
     pub service: Duration,
     /// Global dispatch sequence number (`None` when the job never
     /// dispatched); with one runner this is the exact dispatch order,

@@ -19,12 +19,13 @@
 //!   [`SolverBuilder`](asyrgs::session::SolverBuilder) configuration, the
 //!   system (`Arc<CsrMatrix>` + right-hand side + initial iterate), a
 //!   [`TenantId`], a fair-share weight, and an optional deadline;
-//! * [`MpmcQueue`] — the lock-free bounded admission queue (Vyukov's
-//!   algorithm): producers never block behind consumers, and a full queue
-//!   is typed backpressure, not an unbounded backlog;
-//! * [`Scheduler`] — runner threads dispatch by **stride scheduling**
-//!   (weighted-fair across tenants, starvation-free) and lease concurrency
-//!   slots from a shared
+//! * [`Scheduler`] — admission puts each job straight into its tenant's
+//!   FIFO under the dispatch lock and refuses it with
+//!   [`SubmitError::QueueFull`] once
+//!   [`queue_capacity`](SchedulerConfig::queue_capacity) jobs are queued,
+//!   so the backlog is bounded; runner threads dispatch by **stride
+//!   scheduling** (weighted-fair across tenants, starvation-free) and
+//!   lease concurrency slots from a shared
 //!   [`SlotAccountant`](asyrgs_parallel::SlotAccountant) so co-scheduled
 //!   solves never oversubscribe the cores;
 //! * [`JobHandle`] — the caller's end: cancellation (cooperative, checked
@@ -100,11 +101,9 @@
 #![warn(missing_docs)]
 
 mod job;
-mod mpmc;
 mod registry;
 mod scheduler;
 
 pub use job::{JobHandle, JobOutcome, JobStats, SolveJob, TenantId};
-pub use mpmc::MpmcQueue;
 pub use registry::{MatrixArtifacts, MatrixFingerprint, MatrixUpdate, RegistryStats, UpdateError};
 pub use scheduler::{ScheduledSession, Scheduler, SchedulerConfig, SchedulerStats, SubmitError};

@@ -6,10 +6,12 @@
 //! 1. [`Scheduler::submit`] validates the job (shapes, family, builder
 //!    knobs), fingerprints the matrix, admits it to the registry (for an
 //!    `auto` job, probing the policy between two registry lock holds), and
-//!    pushes it onto the lock-free MPMC admission queue — a full queue is
-//!    a typed [`SubmitError::QueueFull`], not an unbounded backlog.
-//! 2. A runner thread drains admissions into per-tenant FIFOs and picks
-//!    the next job by **stride scheduling**: each tenant accumulates
+//!    appends it to its tenant's FIFO under one hold of the dispatch lock.
+//!    Once [`SchedulerConfig::queue_capacity`] jobs are queued, the job is
+//!    refused with a typed [`SubmitError::QueueFull`] and its registry pin
+//!    released: the backlog is bounded, not merely slowed.
+//! 2. A runner thread picks the next job by **stride scheduling**: each
+//!    tenant accumulates
 //!    "pass" value at a rate inversely proportional to its jobs' weights,
 //!    and the lowest-pass tenant with queued work dispatches next. A
 //!    weight-4 tenant gets 4 dispatch opportunities for every 1 a
@@ -26,19 +28,21 @@
 //!    one epoch structure across the batch, which is where the aggregate
 //!    throughput win over sequential single-tenant solves comes from, and
 //!    (per PR 4) a batched solve is bitwise a sequence of single solves.
-//! 4. The runner leases concurrency slots from the shared
-//!    [`SlotAccountant`] (elastic: it takes what is free rather than
-//!    waiting for its full request), threads the job's
-//!    [`CancelToken`]/[`ProgressProbe`](asyrgs_core::driver::ProgressProbe)
-//!    and remaining deadline through the solver's `Termination` (solo
-//!    dispatches only: a batch shares one driver, so its jobs are not
-//!    individually cancellable after dispatch), and runs the solve on
-//!    scratch iterates.
-//! 5. The outcome lands in the [`JobHandle`]: the solution on success, or
-//!    a typed [`SolveError`] with the caller's buffer untouched.
+//! 4. The runner drops any job cancelled or expired while queued, leases
+//!    concurrency slots from the shared [`SlotAccountant`] (elastic: it
+//!    takes what is free rather than waiting for its full request), and
+//!    runs the solve on scratch iterates. A batch of one solves through
+//!    [`SolveSession::solve`](asyrgs::session::SolveSession::solve) with
+//!    the job's [`CancelToken`]/[`ProgressProbe`](asyrgs_core::driver::ProgressProbe)
+//!    and remaining deadline threaded through the solver's `Termination`;
+//!    two or more share one `solve_many` driver, so their jobs are not
+//!    individually cancellable after dispatch.
+//! 5. One `publish` ends every job, dispatched or not: it releases the
+//!    registry pin, counts the outcome, stamps [`JobStats`] and lands the
+//!    outcome in the [`JobHandle`]: the solution on success, or a typed
+//!    [`SolveError`] with the caller's buffer untouched.
 
 use crate::job::{JobHandle, JobOutcome, JobShared, JobStats, SolveJob, TenantId};
-use crate::mpmc::MpmcQueue;
 use crate::registry::{
     MatrixArtifacts, MatrixFingerprint, MatrixRegistry, MatrixUpdate, RegistryStats, UpdateError,
 };
@@ -82,15 +86,10 @@ pub enum SubmitError {
         /// stays small on the happy path).
         job: Box<SolveJob>,
     },
-    /// The admission queue is full — the service is saturated; back off
-    /// and retry.
+    /// [`SchedulerConfig::queue_capacity`] jobs are already queued — the
+    /// service is saturated; back off and retry.
     QueueFull {
         /// The job that did not fit, returned to the caller.
-        job: Box<SolveJob>,
-    },
-    /// The scheduler is shutting down and accepts no new work.
-    ShutDown {
-        /// The job, returned to the caller.
         job: Box<SolveJob>,
     },
 }
@@ -100,7 +99,6 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::Rejected { error, .. } => write!(f, "job rejected: {error}"),
             SubmitError::QueueFull { .. } => write!(f, "admission queue full"),
-            SubmitError::ShutDown { .. } => write!(f, "scheduler is shut down"),
         }
     }
 }
@@ -119,7 +117,11 @@ impl std::error::Error for SubmitError {}
 pub struct SchedulerConfig {
     /// Runner threads — the maximum number of jobs in flight at once.
     pub runners: usize,
-    /// Admission-queue bound (rounded up to a power of two).
+    /// The most jobs that may wait for dispatch (at least 1):
+    /// [`Scheduler::submit`] refuses a job with [`SubmitError::QueueFull`]
+    /// once this many are queued, so [`Scheduler::queued`] never exceeds
+    /// it through admission. A watchdog retry re-entering its tenant's
+    /// queue was admitted already and is never refused.
     pub queue_capacity: usize,
     /// Concurrency-slot budget shared by all in-flight jobs; defaults to
     /// the machine's worker-pool width so co-scheduled solves cannot
@@ -140,16 +142,12 @@ pub struct SchedulerConfig {
     /// with [`SolveError::Quarantined`]. `0` disables scheduler-level
     /// retries: trips surface to the handle unchanged. Only jobs whose
     /// builder armed the watchdog can trip, so this knob never affects
-    /// default-configured jobs.
+    /// default-configured jobs. A tenant's jobs share at most 64 retries
+    /// in total.
     pub retry_max: u32,
     /// Exponential-backoff base: retry `k` waits `retry_backoff_ms *
     /// 2^(k-1)` milliseconds before re-dispatching.
     pub retry_backoff_ms: u64,
-    /// Total watchdog-trip retries a single tenant may consume across all
-    /// its jobs — a misconfigured tenant cannot grind the service with
-    /// endless restarts. Exhausted tenants get their jobs quarantined on
-    /// the first trip.
-    pub tenant_retry_budget: u64,
     /// Byte budget for the content-addressed matrix registry: canonical
     /// CSRs at `(n_rows + 1)·8 + nnz·16` bytes each plus stored warm-start
     /// solutions (see [`RegistryStats::bytes`]). Least-recently-used
@@ -169,11 +167,16 @@ impl Default for SchedulerConfig {
             coalesce: 32,
             retry_max: 2,
             retry_backoff_ms: 10,
-            tenant_retry_budget: 64,
             registry_max_bytes: 256 << 20,
         }
     }
 }
+
+/// Total watchdog-trip retries a single tenant may consume across all its
+/// jobs — a misconfigured tenant cannot grind the service with endless
+/// restarts. Exhausted tenants get their jobs quarantined on the first
+/// trip.
+const TENANT_RETRY_BUDGET: u64 = 64;
 
 /// Monotone counters describing scheduler activity so far.
 ///
@@ -211,7 +214,7 @@ pub struct SchedulerStats {
     pub warm_started: u64,
 }
 
-/// One admitted job travelling from the MPMC queue to a runner.
+/// One admitted job travelling from its tenant's FIFO to a runner.
 struct Submission {
     job: SolveJob,
     shared: Arc<JobShared>,
@@ -229,6 +232,21 @@ struct Submission {
     warm_started: bool,
 }
 
+impl Submission {
+    /// Whether the job's deadline has passed.
+    fn expired(&self) -> bool {
+        self.deadline_at.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// The error a job whose deadline passed ends with.
+    fn deadline_exceeded(&self) -> SolveError {
+        let budget = self.job.deadline.unwrap_or_default();
+        SolveError::DeadlineExceeded {
+            budget_ms: budget.as_millis().min(u128::from(u64::MAX)) as u64,
+        }
+    }
+}
+
 /// Per-tenant dispatch state: FIFO of admitted jobs plus the stride-
 /// scheduling pass value.
 struct TenantQueue {
@@ -242,9 +260,8 @@ struct TenantQueue {
 /// tenant's pass by `STRIDE_ONE / w`.
 const STRIDE_ONE: u64 = 1 << 20;
 
-/// Mutex-guarded dispatch state (the admission queue itself stays
-/// lock-free; this small table is touched once per dispatch, not per
-/// sweep).
+/// Mutex-guarded dispatch state, touched once per admission and once per
+/// dispatch, never per sweep.
 struct DispatchState {
     tenants: BTreeMap<TenantId, TenantQueue>,
     queued: usize,
@@ -259,7 +276,7 @@ struct DispatchState {
     /// into their tenant FIFOs when due.
     parked: Vec<Submission>,
     /// Watchdog-trip retries each tenant has consumed (see
-    /// `SchedulerConfig::tenant_retry_budget`).
+    /// [`TENANT_RETRY_BUDGET`]).
     retry_spent: BTreeMap<TenantId, u64>,
 }
 
@@ -280,14 +297,6 @@ impl DispatchState {
         }
         tenant.fifo.push_back(sub);
         self.queued += 1;
-    }
-
-    /// Move every admitted submission from the lock-free queue into its
-    /// tenant's FIFO.
-    fn drain_injection(&mut self, injection: &MpmcQueue<Submission>) {
-        while let Some(sub) = injection.pop() {
-            self.enqueue(sub);
-        }
     }
 
     /// Move parked retries whose backoff has elapsed back into dispatch.
@@ -404,7 +413,6 @@ struct Counters {
 }
 
 struct Inner {
-    injection: MpmcQueue<Submission>,
     dispatch: Mutex<DispatchState>,
     /// The content-addressed matrix store, behind its own lock so
     /// admission never contends with dispatch.
@@ -412,10 +420,10 @@ struct Inner {
     work: Condvar,
     slots: SlotAccountant,
     counters: Counters,
+    queue_capacity: usize,
     coalesce: usize,
     retry_max: u32,
     retry_backoff_ms: u64,
-    tenant_retry_budget: u64,
 }
 
 impl Inner {
@@ -463,7 +471,6 @@ impl Scheduler {
     pub fn new(config: SchedulerConfig) -> Self {
         let runners = config.runners.max(1);
         let inner = Arc::new(Inner {
-            injection: MpmcQueue::with_capacity(config.queue_capacity),
             dispatch: Mutex::new(DispatchState {
                 tenants: BTreeMap::new(),
                 queued: 0,
@@ -490,10 +497,10 @@ impl Scheduler {
                 dispatch_seq: AtomicU64::new(0),
                 running: AtomicUsize::new(0),
             },
+            queue_capacity: config.queue_capacity.max(1),
             coalesce: config.coalesce.max(1),
             retry_max: config.retry_max,
             retry_backoff_ms: config.retry_backoff_ms,
-            tenant_retry_budget: config.tenant_retry_budget,
         });
         let handles = (0..runners)
             .map(|id| {
@@ -532,9 +539,9 @@ impl Scheduler {
     /// # Errors
     /// [`SubmitError::Rejected`] with the violated rule (the least-squares
     /// families are rejected with
-    /// [`SolveError::MethodMismatch`] — serve square systems for now),
-    /// [`SubmitError::QueueFull`] under overload, or
-    /// [`SubmitError::ShutDown`] after drop began.
+    /// [`SolveError::MethodMismatch`] — serve square systems for now), or
+    /// [`SubmitError::QueueFull`] once
+    /// [`SchedulerConfig::queue_capacity`] jobs are queued.
     pub fn submit(&self, job: SolveJob) -> Result<JobHandle, SubmitError> {
         // `auto` jobs carry no family of their own: every family-dependent
         // check is skipped here and the solver policy's decision (resolved
@@ -595,16 +602,6 @@ impl Scheduler {
                 });
             }
         }
-        {
-            let st = self
-                .inner
-                .dispatch
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if st.shutdown {
-                return Err(SubmitError::ShutDown { job: Box::new(job) });
-            }
-        }
         // Registry admission: dedup onto the canonical allocation. The Arc
         // swap is what widens coalescing across tenants — the batch gate
         // compares matrices by pointer identity, and after dedup every
@@ -661,12 +658,6 @@ impl Scheduler {
             }
         }
         drop(reg);
-        if warm_started {
-            self.inner
-                .counters
-                .warm_started
-                .fetch_add(1, Ordering::Relaxed);
-        }
         // Adopt a CancelToken/ProgressProbe the caller already configured
         // on the builder's Termination as the job's own channels, so an
         // external token and JobHandle::cancel share one flag (and both
@@ -691,29 +682,30 @@ impl Scheduler {
             fingerprint,
             warm_started,
         };
-        if let Err(back) = self.inner.injection.push(sub) {
+        let mut st = self
+            .inner
+            .dispatch
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if st.queued >= self.inner.queue_capacity {
+            drop(st);
             // The job never entered the queue: undo its registry pin.
-            if let Some(fp) = back.fingerprint {
+            if let Some(fp) = sub.fingerprint {
                 self.inner.registry().release(fp);
             }
             return Err(SubmitError::QueueFull {
-                job: Box::new(back.job),
+                job: Box::new(sub.job),
             });
         }
-        self.inner
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        // Wake a runner. Taking the dispatch lock (even for nothing)
-        // orders this notify after any runner's "queue is empty" check,
-        // closing the missed-wakeup race; the job payload itself travelled
-        // through the lock-free queue above.
-        drop(
-            self.inner
-                .dispatch
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
+        st.enqueue(sub);
+        let c = &self.inner.counters;
+        c.submitted.fetch_add(1, Ordering::Relaxed);
+        if warm_started {
+            c.warm_started.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(st);
+        // Runners check for work and wait under the dispatch lock, so a
+        // notify after it is released cannot be missed.
         self.inner.work.notify_all();
         Ok(handle)
     }
@@ -731,15 +723,15 @@ impl Scheduler {
         self.inner.work.notify_all();
     }
 
-    /// Jobs admitted but not yet dispatched (approximate under concurrent
-    /// activity).
+    /// Jobs admitted but not yet dispatched (retries waiting out their
+    /// backoff excluded); admission keeps it at most
+    /// [`SchedulerConfig::queue_capacity`].
     pub fn queued(&self) -> usize {
-        let st = self
-            .inner
+        self.inner
             .dispatch
             .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        st.queued + self.inner.injection.len()
+            .unwrap_or_else(|e| e.into_inner())
+            .queued
     }
 
     /// Jobs currently executing on runner threads.
@@ -772,12 +764,6 @@ impl Scheduler {
     /// Counters and occupancy of the content-addressed matrix registry.
     pub fn registry_stats(&self) -> RegistryStats {
         self.inner.registry().stats()
-    }
-
-    /// The fingerprint a matrix would admit under — content-addressed, so
-    /// any bitwise-identical matrix maps to the same value.
-    pub fn fingerprint(a: &CsrMatrix) -> MatrixFingerprint {
-        MatrixFingerprint::of(a)
     }
 
     /// What the registry holds for a registered fingerprint: the
@@ -866,7 +852,6 @@ impl Drop for Scheduler {
             .dispatch
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        st.drain_injection(&self.inner.injection);
         let mut leftovers: Vec<Submission> = st
             .tenants
             .values_mut()
@@ -876,66 +861,49 @@ impl Drop for Scheduler {
         st.queued = 0;
         drop(st);
         for sub in leftovers {
-            complete_undispatched(
-                &self.inner,
-                &sub,
-                Err(SolveError::Cancelled),
-                sub.job.x0.clone(),
-            );
+            let x0 = sub.job.x0.clone();
+            publish(&self.inner, sub, x0, Err(SolveError::Cancelled), None);
         }
     }
 }
 
-/// Registry bookkeeping at any terminal state: release the admission pin
-/// exactly once, record the solution for warm-starting on success, and
-/// drop the tenant's stored solution on quarantine (a quarantined
+/// What a dispatch adds to a job's [`JobStats`].
+struct Dispatch {
+    seq: u64,
+    queued: Duration,
+    started: Instant,
+    threads: usize,
+    batch_size: usize,
+}
+
+/// End a job in any terminal state: never dispatched (`dispatch` is
+/// `None`: cancelled or expired while queued, or orphaned at drop),
+/// solved, failed, or quarantined. Releases the registry pin exactly
+/// once, recording the solution for warm-starting on success and
+/// dropping the tenant's stored solution on quarantine (a quarantined
 /// operator's iterate is no longer trusted — the next submission falls
-/// back to its own x0).
-fn registry_finish(
+/// back to its own x0); counts the outcome; stamps [`JobStats`], whose
+/// `service` ends here, after the registry publish; and completes the
+/// handle.
+fn publish(
     inner: &Inner,
-    sub: &Submission,
-    result: &Result<SolveReport, SolveError>,
-    x: &[f64],
-) {
-    let Some(fp) = sub.fingerprint else { return };
-    let mut reg = inner.registry();
-    match result {
-        Ok(_) if sub.job.warm_start => reg.record_solution(fp, sub.job.tenant, x),
-        Err(SolveError::Quarantined { .. }) => reg.invalidate_warm(fp, sub.job.tenant),
-        _ => {}
-    }
-    reg.release(fp);
-}
-
-/// Publish an outcome for a job that never ran (cancelled/expired while
-/// queued, or orphaned by shutdown).
-fn complete_undispatched(
-    inner: &Inner,
-    sub: &Submission,
-    result: Result<SolveReport, SolveError>,
+    sub: Submission,
     x: Vec<f64>,
+    result: Result<SolveReport, SolveError>,
+    dispatch: Option<&Dispatch>,
 ) {
-    registry_finish(inner, sub, &result, &x);
-    bump_outcome_counters(inner, &result);
-    sub.shared.complete(JobOutcome {
-        x,
-        result,
-        stats: JobStats {
-            queued: sub.submitted_at.elapsed(),
-            service: Duration::ZERO,
-            dispatch_seq: None,
-            threads_used: 0,
-            batch_size: 0,
-            retries: sub.retries,
-            warm_started: sub.warm_started,
-        },
-    });
-}
-
-fn bump_outcome_counters(inner: &Inner, result: &Result<SolveReport, SolveError>) {
+    if let Some(fp) = sub.fingerprint {
+        let mut reg = inner.registry();
+        match &result {
+            Ok(_) if sub.job.warm_start => reg.record_solution(fp, sub.job.tenant, &x),
+            Err(SolveError::Quarantined { .. }) => reg.invalidate_warm(fp, sub.job.tenant),
+            _ => {}
+        }
+        reg.release(fp);
+    }
     let c = &inner.counters;
     c.completed.fetch_add(1, Ordering::Relaxed);
-    match result {
+    match &result {
         Ok(_) => c.succeeded.fetch_add(1, Ordering::Relaxed),
         Err(SolveError::Cancelled) => c.cancelled.fetch_add(1, Ordering::Relaxed),
         Err(SolveError::DeadlineExceeded { .. }) => {
@@ -944,6 +912,27 @@ fn bump_outcome_counters(inner: &Inner, result: &Result<SolveReport, SolveError>
         Err(SolveError::Quarantined { .. }) => c.quarantined.fetch_add(1, Ordering::Relaxed),
         Err(_) => 0,
     };
+    let stats = match dispatch {
+        Some(d) => JobStats {
+            queued: d.queued,
+            service: d.started.elapsed(),
+            dispatch_seq: Some(d.seq),
+            threads_used: d.threads,
+            batch_size: d.batch_size,
+            retries: sub.retries,
+            warm_started: sub.warm_started,
+        },
+        None => JobStats {
+            queued: sub.submitted_at.elapsed(),
+            service: Duration::ZERO,
+            dispatch_seq: None,
+            threads_used: 0,
+            batch_size: 0,
+            retries: sub.retries,
+            warm_started: sub.warm_started,
+        },
+    };
+    sub.shared.complete(JobOutcome { x, result, stats });
 }
 
 /// The runner body: wait for dispatchable work, run it, publish the
@@ -953,7 +942,6 @@ fn runner_loop(inner: &Inner) {
         let batch = {
             let mut st = inner.dispatch.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                st.drain_injection(&inner.injection);
                 st.release_parked();
                 if st.shutdown {
                     return;
@@ -997,273 +985,178 @@ fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> SolveError {
     SolveError::DispatchPanic { detail }
 }
 
-/// Execute a coalesced dispatch: one job runs the full solo path; two or
-/// more share a single block solve (`solve_many`), which PR 4 made
-/// bitwise identical to running them back to back.
+/// Execute one dispatch. A lone job solves through `SolveSession::solve`
+/// with its own cancel, progress and deadline plumbing; two or more share
+/// one block solve (`solve_many`), bitwise identical to running them back
+/// to back.
 fn run_batch(inner: &Inner, batch: Vec<Submission>) {
-    // Re-check cancellation: a token can fire between pick_batch (which
-    // excludes already-cancelled riders under the dispatch lock) and this
-    // point. Such riders must complete as cancelled — "cancellation
-    // before dispatch always works" — not silently run to Ok inside a
-    // block solve that cannot observe their tokens.
-    let mut batch: Vec<Submission> = batch
+    // Pre-dispatch gates: a job cancelled or expired while queued never
+    // runs (and never touches its output buffer). `pick_batch` keeps
+    // cancelled riders out under the dispatch lock, but a token can fire
+    // between it and this point; such a job must end cancelled —
+    // "cancellation before dispatch always works" — not run to Ok inside
+    // a block solve that cannot observe its token.
+    let batch: Vec<Submission> = batch
         .into_iter()
         .filter_map(|sub| {
-            if sub.shared.cancel.is_cancelled() {
-                complete_undispatched(inner, &sub, Err(SolveError::Cancelled), sub.job.x0.clone());
-                None
+            let error = if sub.shared.cancel.is_cancelled() {
+                SolveError::Cancelled
+            } else if sub.expired() {
+                sub.deadline_exceeded()
             } else {
-                Some(sub)
-            }
+                return Some(sub);
+            };
+            let x0 = sub.job.x0.clone();
+            publish(inner, sub, x0, Err(error), None);
+            None
         })
         .collect();
-    match batch.len() {
-        0 => return,
-        1 => return run_one(inner, batch.pop().expect("len checked")),
-        _ => {}
+    if batch.is_empty() {
+        return;
     }
-    let queued: Vec<Duration> = batch.iter().map(|s| s.submitted_at.elapsed()).collect();
-    let seqs: Vec<u64> = batch
+    let batch_size = batch.len();
+    let dispatched: Vec<(u64, Duration)> = batch
         .iter()
-        .map(|_| inner.counters.dispatch_seq.fetch_add(1, Ordering::Relaxed))
+        .map(|s| {
+            let seq = inner.counters.dispatch_seq.fetch_add(1, Ordering::Relaxed);
+            (seq, s.submitted_at.elapsed())
+        })
         .collect();
-    let anchor_tenant = batch[0].job.tenant;
-    let cross_tenant = batch
-        .iter()
-        .filter(|s| s.job.tenant != anchor_tenant)
-        .count() as u64;
-    inner
-        .counters
-        .coalesced
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    inner
-        .counters
-        .cross_tenant_coalesced
-        .fetch_add(cross_tenant, Ordering::Relaxed);
+    let anchor = &batch[0];
+    if batch_size > 1 {
+        let cross_tenant = batch
+            .iter()
+            .filter(|s| s.job.tenant != anchor.job.tenant)
+            .count() as u64;
+        let c = &inner.counters;
+        c.coalesced.fetch_add(batch_size as u64, Ordering::Relaxed);
+        c.cross_tenant_coalesced
+            .fetch_add(cross_tenant, Ordering::Relaxed);
+    }
     for sub in &batch {
         sub.shared.mark_running();
     }
-    let service_start = Instant::now();
-
-    let family = batch[0].job.builder.configured_family();
-    let want = if family.is_parallel() {
-        batch[0].job.builder.configured_threads().max(1)
-    } else {
-        1
-    };
-    let lease = inner.slots.lease_up_to(want);
-    let threads = lease.granted();
-    let batch_size = batch.len();
-
-    // Contain panics: a runner thread must survive any job, so a solver
-    // panic becomes a typed per-job error instead of hung waiters.
-    let builder = batch[0].job.builder.clone().threads(threads);
-    let solve_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        builder.build().and_then(|mut session| {
-            let a = Arc::clone(&batch[0].job.a);
-            let bs: Vec<&[f64]> = batch.iter().map(|s| s.job.b.as_slice()).collect();
-            let mut xs: Vec<Vec<f64>> = batch.iter().map(|s| s.job.x0.clone()).collect();
-            let mut xrefs: Vec<&mut [f64]> = xs.iter_mut().map(|v| v.as_mut_slice()).collect();
-            let reports = session.solve_many(a.as_ref(), &bs, &mut xrefs)?;
-            Ok((xs, reports))
-        })
-    }))
-    .unwrap_or_else(|payload| Err(panic_to_error(payload)));
-    drop(lease);
-    let service = service_start.elapsed();
-
-    // One publication loop for both arms: per-job (x, result) pairs. On
-    // any batch error (`solve_many` validates before touching any
-    // iterate) and for cancelled runs, x0 is returned untouched; a batch
-    // can only observe a cancel token the caller put on the shared
-    // builder (batchability requires identical builders), and it is
-    // mapped exactly like a solo dispatch so no partial iterate leaks.
-    let outcomes: Vec<(Submission, Vec<f64>, Result<SolveReport, SolveError>)> = match solve_result
-    {
-        Ok((xs, reports)) => batch
-            .into_iter()
-            .zip(xs.into_iter().zip(reports))
-            .map(|(sub, (x, report))| {
-                if report.cancelled {
-                    let x0 = sub.job.x0.clone();
-                    (sub, x0, Err(SolveError::Cancelled))
-                } else {
-                    (sub, x, Ok(report))
-                }
-            })
-            .collect(),
-        Err(e) => batch
-            .into_iter()
-            .map(|sub| {
-                let x0 = sub.job.x0.clone();
-                (sub, x0, Err(e.clone()))
-            })
-            .collect(),
-    };
-    for (i, (sub, x, result)) in outcomes.into_iter().enumerate() {
-        registry_finish(inner, &sub, &result, &x);
-        bump_outcome_counters(inner, &result);
-        sub.shared.complete(JobOutcome {
-            x,
-            result,
-            stats: JobStats {
-                queued: queued[i],
-                service,
-                dispatch_seq: Some(seqs[i]),
-                threads_used: threads,
-                batch_size,
-                retries: sub.retries,
-                warm_started: sub.warm_started,
-            },
-        });
-    }
-}
-
-/// Execute one dispatched submission end to end.
-fn run_one(inner: &Inner, sub: Submission) {
-    let queued = sub.submitted_at.elapsed();
-    let dispatch_seq = inner.counters.dispatch_seq.fetch_add(1, Ordering::Relaxed);
-    let budget_ms = sub
-        .job
-        .deadline
-        .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64)
-        .unwrap_or(0);
-
-    // Pre-dispatch gates: a job cancelled or expired while queued never
-    // runs (and never touches its output buffer).
-    let pre_error = if sub.shared.cancel.is_cancelled() {
-        Some(SolveError::Cancelled)
-    } else if sub.deadline_at.is_some_and(|d| Instant::now() >= d) {
-        Some(SolveError::DeadlineExceeded { budget_ms })
-    } else {
-        None
-    };
-    if let Some(error) = pre_error {
-        complete_undispatched(inner, &sub, Err(error), sub.job.x0.clone());
-        return;
-    }
-
-    sub.shared.mark_running();
-    let service_start = Instant::now();
+    let started = Instant::now();
 
     // Lease concurrency slots: parallel families get up to their
     // configured thread count, everything else runs single-slot. Elastic
     // shrink under load is safe — the paper's whole point is that the
     // asynchronous solvers converge at any thread count.
-    let family = sub.job.builder.configured_family();
+    let family = anchor.job.builder.configured_family();
     let want = if family.is_parallel() {
-        sub.job.builder.configured_threads().max(1)
+        anchor.job.builder.configured_threads().max(1)
     } else {
         1
     };
     let lease = inner.slots.lease_up_to(want);
     let threads = lease.granted();
 
-    // Compose the scheduler's plumbing with the caller's stopping rules:
-    // cancellation token, progress probe, and the tighter of (caller
-    // wall-clock budget, time remaining until the deadline).
-    let mut term = sub
-        .job
-        .builder
-        .configured_term()
-        .clone()
-        .with_cancel(sub.shared.cancel.clone())
-        .with_progress(sub.shared.progress.clone());
-    if let Some(deadline_at) = sub.deadline_at {
-        let remaining = deadline_at.saturating_duration_since(Instant::now());
-        term.wall_clock = Some(term.wall_clock.map_or(remaining, |w| w.min(remaining)));
+    let mut builder = anchor.job.builder.clone().threads(threads);
+    if batch_size == 1 {
+        // Compose the scheduler's plumbing with the caller's stopping
+        // rules: cancellation token, progress probe, and the tighter of
+        // (caller wall-clock budget, time remaining until the deadline).
+        let mut term = anchor
+            .job
+            .builder
+            .configured_term()
+            .clone()
+            .with_cancel(anchor.shared.cancel.clone())
+            .with_progress(anchor.shared.progress.clone());
+        if let Some(deadline_at) = anchor.deadline_at {
+            let remaining = deadline_at.saturating_duration_since(Instant::now());
+            term.wall_clock = Some(term.wall_clock.map_or(remaining, |w| w.min(remaining)));
+        }
+        builder = builder.term(term);
     }
-    let builder = sub.job.builder.clone().threads(threads).term(term);
 
-    // Solve on a scratch iterate: the submitted x0 is only replaced by a
+    // Solve on scratch iterates: a submitted x0 is only replaced by a
     // *successful* solve, so every error path returns it untouched. The
     // catch_unwind contains solver panics as typed errors — a runner
     // thread must survive any job, or its waiters hang forever.
-    let mut x = sub.job.x0.clone();
-    let solve_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        builder
-            .build()
-            .and_then(|mut session| session.solve(sub.job.a.as_ref(), &sub.job.b, &mut x))
-    }))
-    .unwrap_or_else(|payload| Err(panic_to_error(payload)));
-
-    let deadline_passed = sub.deadline_at.is_some_and(|d| Instant::now() >= d);
-    let (x, result) = match solve_result {
-        Ok(rep) if rep.cancelled => (sub.job.x0.clone(), Err(SolveError::Cancelled)),
-        Ok(rep) if rep.stopped_on_budget && deadline_passed => (
-            sub.job.x0.clone(),
-            Err(SolveError::DeadlineExceeded { budget_ms }),
-        ),
-        Ok(rep) => (x, Ok(rep)),
-        Err(e) => (sub.job.x0.clone(), Err(e)),
-    };
-    drop(lease);
-
-    // A watchdog trip that survived the session's own recovery ladder is
-    // retried at the scheduling layer: re-enqueue with exponential backoff
-    // until the per-job cap or the tenant's retry budget runs out, then
-    // quarantine with a typed terminal error. Jobs that never armed the
-    // watchdog cannot produce these errors, so this path is dead for
-    // default-configured jobs. An expired deadline wins over a retry.
-    let is_trip = matches!(&result, Err(e) if asyrgs_core::health::is_watchdog_trip(e));
-    if is_trip && inner.retry_max > 0 && !deadline_passed {
-        let error = result.expect_err("checked Err above");
-        match try_requeue(inner, sub, &error) {
-            None => return, // re-enqueued; the outcome publishes later
-            Some(back) => {
-                let result = Err(SolveError::Quarantined {
-                    attempts: back.retries.saturating_add(1),
-                    last_error: Box::new(error),
-                });
-                let x = back.job.x0.clone();
-                registry_finish(inner, &back, &result, &x);
-                bump_outcome_counters(inner, &result);
-                back.shared.complete(JobOutcome {
-                    x,
-                    result,
-                    stats: JobStats {
-                        queued,
-                        service: service_start.elapsed(),
-                        dispatch_seq: Some(dispatch_seq),
-                        threads_used: threads,
-                        batch_size: 1,
-                        retries: back.retries,
-                        warm_started: back.warm_started,
-                    },
-                });
-                return;
+    let mut xs: Vec<Vec<f64>> = batch.iter().map(|s| s.job.x0.clone()).collect();
+    let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+        || -> Result<Vec<SolveReport>, SolveError> {
+            let mut session = builder.build()?;
+            let a = anchor.job.a.as_ref();
+            if let [x] = xs.as_mut_slice() {
+                return Ok(vec![session.solve(a, &anchor.job.b, x)?]);
             }
+            let bs: Vec<&[f64]> = batch.iter().map(|s| s.job.b.as_slice()).collect();
+            let mut xrefs: Vec<&mut [f64]> = xs.iter_mut().map(Vec::as_mut_slice).collect();
+            session.solve_many(a, &bs, &mut xrefs)
+        },
+    ))
+    .unwrap_or_else(|payload| Err(panic_to_error(payload)));
+    drop(lease);
+    // A dispatch error fails every job in it.
+    let results: Vec<Result<SolveReport, SolveError>> = match solved {
+        Ok(reports) => reports.into_iter().map(Ok).collect(),
+        Err(e) => vec![Err(e); batch_size],
+    };
+
+    for ((sub, x), (result, (seq, queued))) in batch
+        .into_iter()
+        .zip(xs)
+        .zip(results.into_iter().zip(dispatched))
+    {
+        let dispatch = Dispatch {
+            seq,
+            queued,
+            started,
+            threads,
+            batch_size,
+        };
+        // A cancelled run maps to Cancelled with x0 handed back, so no
+        // partial iterate leaks; a batch can only observe a token the
+        // caller put on the shared builder (batchability requires
+        // identical builders).
+        let expired = sub.expired();
+        let (x, result) = match result {
+            Ok(rep) if rep.cancelled => (sub.job.x0.clone(), Err(SolveError::Cancelled)),
+            Ok(rep) if rep.stopped_on_budget && expired => {
+                (sub.job.x0.clone(), Err(sub.deadline_exceeded()))
+            }
+            Ok(rep) => (x, Ok(rep)),
+            Err(e) => (sub.job.x0.clone(), Err(e)),
+        };
+
+        // A watchdog trip that survived the session's own recovery
+        // ladder is retried at the scheduling layer: re-enqueue with
+        // exponential backoff until the per-job cap or the tenant's retry
+        // budget runs out, then quarantine with a typed terminal error.
+        // Only a health-armed job can trip, and such a job never
+        // coalesces. An expired deadline wins over a retry.
+        let trip = match result {
+            Err(e) if asyrgs_core::health::is_watchdog_trip(&e) => e,
+            result => {
+                publish(inner, sub, x, result, Some(&dispatch));
+                continue;
+            }
+        };
+        if inner.retry_max == 0 || expired {
+            publish(inner, sub, x, Err(trip), Some(&dispatch));
+        } else if let Some(back) = try_requeue(inner, sub) {
+            let result = Err(SolveError::Quarantined {
+                attempts: back.retries.saturating_add(1),
+                last_error: Box::new(trip),
+            });
+            publish(inner, back, x, result, Some(&dispatch));
         }
     }
-
-    registry_finish(inner, &sub, &result, &x);
-    bump_outcome_counters(inner, &result);
-    sub.shared.complete(JobOutcome {
-        x,
-        result,
-        stats: JobStats {
-            queued,
-            service: service_start.elapsed(),
-            dispatch_seq: Some(dispatch_seq),
-            threads_used: threads,
-            batch_size: 1,
-            retries: sub.retries,
-            warm_started: sub.warm_started,
-        },
-    });
 }
 
 /// Re-enqueue a tripped job with exponential backoff, charging the
 /// tenant's retry budget. Returns the submission back when the per-job
 /// cap or the tenant budget is exhausted (or the scheduler is shutting
 /// down) — the caller quarantines it.
-fn try_requeue(inner: &Inner, mut sub: Submission, _error: &SolveError) -> Option<Submission> {
+fn try_requeue(inner: &Inner, mut sub: Submission) -> Option<Submission> {
     let mut st = inner.dispatch.lock().unwrap_or_else(|e| e.into_inner());
     if st.shutdown || sub.retries >= inner.retry_max {
         return Some(sub);
     }
     let spent = st.retry_spent.entry(sub.job.tenant).or_insert(0);
-    if *spent >= inner.tenant_retry_budget {
+    if *spent >= TENANT_RETRY_BUDGET {
         return Some(sub);
     }
     *spent += 1;
@@ -1340,8 +1233,7 @@ impl ScheduledSession<'_> {
     /// # Errors
     /// The configured family's usual [`SolveError`]s, plus
     /// [`SolveError::DeadlineExceeded`] /
-    /// [`SolveError::Cancelled`] from the scheduling layer (the latter
-    /// also if the scheduler shuts down first).
+    /// [`SolveError::Cancelled`] from the scheduling layer.
     pub fn solve(
         &self,
         a: &Arc<CsrMatrix>,
@@ -1363,7 +1255,6 @@ impl ScheduledSession<'_> {
                     job = *back;
                     std::thread::sleep(Duration::from_micros(200));
                 }
-                Err(SubmitError::ShutDown { .. }) => return Err(SolveError::Cancelled),
             }
         };
         let outcome = handle.wait();

@@ -53,12 +53,6 @@ impl CscMatrix {
         self.at.row(j)
     }
 
-    /// Number of stored entries in column `j`.
-    #[inline]
-    pub fn col_nnz(&self, j: usize) -> usize {
-        self.at.row_nnz(j)
-    }
-
     /// Dot product of column `j` with a dense vector of length `n_rows`.
     #[inline]
     pub fn col_dot(&self, j: usize, v: &[f64]) -> f64 {
@@ -68,11 +62,6 @@ impl CscMatrix {
     /// Squared Euclidean norm of column `j`.
     pub fn col_norm_sq(&self, j: usize) -> f64 {
         self.col(j).1.iter().map(|v| v * v).sum()
-    }
-
-    /// `y <- A^T x` (uses the internal transposed CSR directly).
-    pub fn at_matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.at.matvec(x)
     }
 
     /// Recover the CSR form of the logical matrix (one transpose).
@@ -114,7 +103,6 @@ mod tests {
         let (rows, vals) = c.col(1);
         assert_eq!(rows, &[1, 3]);
         assert_eq!(vals, &[3.0, 6.0]);
-        assert_eq!(c.col_nnz(2), 2);
     }
 
     #[test]
@@ -123,16 +111,6 @@ mod tests {
         let v = vec![1.0, 1.0, 1.0, 1.0];
         assert_eq!(c.col_dot(0, &v), 5.0);
         assert_eq!(c.col_norm_sq(2), 4.0 + 25.0);
-    }
-
-    #[test]
-    fn at_matvec_matches_transpose() {
-        let a = rect();
-        let c = CscMatrix::from_csr(&a);
-        let x = vec![1.0, -1.0, 2.0, 0.5];
-        let y1 = c.at_matvec(&x);
-        let y2 = a.transpose().matvec(&x);
-        assert_eq!(y1, y2);
     }
 
     #[test]

@@ -683,11 +683,6 @@ impl CsrMatrix {
             .fold(0.0, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.vals.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// The paper's `rho = ||A||_inf / n = max_l (1/n) sum_r |A_lr|`
     /// (Theorem 2). Requires a square matrix.
     pub fn rho(&self) -> f64 {
@@ -757,13 +752,6 @@ impl CsrMatrix {
             }
         }
         d
-    }
-
-    /// Scale: `A <- alpha A`.
-    pub fn scale_values(&mut self, alpha: f64) {
-        for v in &mut self.vals {
-            *v *= alpha;
-        }
     }
 }
 
@@ -933,7 +921,6 @@ mod tests {
         assert!((m.rho() - 4.0 / 3.0).abs() < 1e-15);
         // rho2 = max_l (1/3) * sum A_lr^2; middle row: (1+4+1)/3 = 2
         assert!((m.rho2() - 2.0).abs() < 1e-15);
-        assert!((m.norm_frobenius() - (4.0f64 * 3.0 + 4.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -1011,14 +998,6 @@ mod tests {
         let d = [2.0, -1.0, 0.0, -1.0, 2.0, -1.0, 0.0, -1.0, 2.0];
         let m = CsrMatrix::from_dense(3, 3, &d);
         assert_eq!(m.to_dense(), d.to_vec());
-    }
-
-    #[test]
-    fn scale_values_works() {
-        let mut m = small();
-        m.scale_values(2.0);
-        assert_eq!(m.get(0, 0), 4.0);
-        assert_eq!(m.get(1, 0), -2.0);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   batches multi-RHS workloads.
 //!
 //! On top of the session layer, the downstream `asyrgs-serve` crate turns
-//! solves into a **multi-tenant service**: a scheduler with lock-free
+//! solves into a **multi-tenant service**: a scheduler with bounded
 //! admission, weighted-fair dispatch, job coalescing into block solves,
 //! cancellation, deadlines, and progress streaming (it depends on this
 //! facade, so it is not re-exported here — see `crates/serve`).

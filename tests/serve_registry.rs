@@ -14,7 +14,7 @@ use asyrgs::sparse::CsrMatrix;
 use asyrgs_core::atomic::SharedVec;
 use asyrgs_core::driver::Termination;
 use asyrgs_core::error::SolveError;
-use asyrgs_serve::{Scheduler, SchedulerConfig, SolveJob, TenantId};
+use asyrgs_serve::{MatrixFingerprint, Scheduler, SchedulerConfig, SolveJob, TenantId};
 use asyrgs_workloads::{diag_dominant, laplace2d};
 use std::sync::{Arc, Barrier};
 
@@ -44,15 +44,15 @@ fn fingerprint_stable_across_clones_and_sharedvec_striping() {
     // cache-line-striped storage (the solver's shared-iterate path) come
     // back bitwise and so re-fingerprint identically.
     let (a, _) = problem(7);
-    let fp = Scheduler::fingerprint(&a);
-    assert_eq!(fp, Scheduler::fingerprint(&a.clone()));
+    let fp = MatrixFingerprint::of(&a);
+    assert_eq!(fp, MatrixFingerprint::of(&a.clone()));
 
     let striped = SharedVec::from_slice(a.values());
     let mut roundtrip = a.clone();
     roundtrip.values_mut().copy_from_slice(&striped.snapshot());
     assert_eq!(
         fp,
-        Scheduler::fingerprint(&roundtrip),
+        MatrixFingerprint::of(&roundtrip),
         "SharedVec striping must not perturb value bits"
     );
 
@@ -61,7 +61,7 @@ fn fingerprint_stable_across_clones_and_sharedvec_striping() {
     let mut nudged = a.clone();
     let v = nudged.values()[0];
     nudged.values_mut()[0] = f64::from_bits(v.to_bits() + 1);
-    assert_ne!(fp, Scheduler::fingerprint(&nudged));
+    assert_ne!(fp, MatrixFingerprint::of(&nudged));
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn identical_matrices_from_two_tenants_dedup_to_one_entry() {
     assert_eq!(reg.hits, 1, "second submission dedups onto it");
     assert_eq!(reg.entries, 1);
     assert_eq!(reg.collisions, 0);
-    assert!(sched.artifacts(Scheduler::fingerprint(&a)).is_some());
+    assert!(sched.artifacts(MatrixFingerprint::of(&a)).is_some());
 }
 
 #[test]
@@ -104,8 +104,8 @@ fn eviction_respects_in_flight_pins_then_reclaims() {
         let b2 = a2.matvec(&vec![1.0; a2.n_rows()]);
         (a2, b2)
     };
-    let fp_a = Scheduler::fingerprint(&a);
-    let fp_a2 = Scheduler::fingerprint(&a2);
+    let fp_a = MatrixFingerprint::of(&a);
+    let fp_a2 = MatrixFingerprint::of(&a2);
     let sched = Scheduler::new(SchedulerConfig {
         runners: 1,
         paused: true,
@@ -442,7 +442,7 @@ fn certified_auto_job_resolves_its_decision_without_a_probe() {
     assert!(rel < 1e-8, "relative residual {rel:e}");
 
     let decision = sched
-        .artifacts(Scheduler::fingerprint(&a))
+        .artifacts(MatrixFingerprint::of(&a))
         .expect("registered")
         .policy
         .expect("resolved at admission");

@@ -144,6 +144,48 @@ fn generous_deadline_does_not_fail_a_fast_job() {
 }
 
 #[test]
+fn queue_capacity_bounds_the_backlog() {
+    // A paused scheduler dispatches nothing, so every accepted job stays
+    // queued: the bound must refuse the fifth and sixth job, hand each
+    // back intact, and leave no registry pin behind for them.
+    let sched = Scheduler::new(SchedulerConfig {
+        runners: 2,
+        paused: true,
+        queue_capacity: 4,
+        registry_max_bytes: 0,
+        ..SchedulerConfig::default()
+    });
+    let builder =
+        SolverBuilder::new(SolverFamily::Cg).term(Termination::sweeps(200).with_target(1e-10));
+    let mut accepted = Vec::new();
+    let mut refused = 0;
+    for side in 3..9 {
+        let (a, b) = problem(side);
+        match sched.submit(SolveJob::new(builder.clone(), a, b.clone())) {
+            Ok(handle) => accepted.push(handle),
+            Err(asyrgs_serve::SubmitError::QueueFull { job }) => {
+                assert_eq!(job.b(), b.as_slice(), "the refused job comes back intact");
+                refused += 1;
+            }
+            Err(other) => panic!("expected QueueFull, got {other}"),
+        }
+    }
+    assert_eq!(accepted.len(), 4);
+    assert_eq!(refused, 2);
+    assert_eq!(sched.queued(), 4);
+    assert_eq!(
+        sched.registry_stats().entries,
+        4,
+        "a refused job must not hold a registry pin"
+    );
+    sched.resume();
+    for handle in accepted {
+        handle.wait().result.expect("cg converges");
+    }
+    assert_eq!(sched.registry_stats().entries, 0);
+}
+
+#[test]
 fn starved_low_priority_tenant_still_dispatches_fairly() {
     // One paused runner, 12 weight-6 jobs from a heavy tenant, 3 weight-1
     // jobs from a light one. Strict priority would run all 12 heavy jobs
