@@ -11,8 +11,8 @@
 //! ```
 
 use asyrgs_bench::{csv_header, csv_row, label_block, rhs_count, standard_gram, Scale};
+use asyrgs_core::asyrgs::{try_asyrgs_solve_block, AsyRgsOptions};
 use asyrgs_core::driver::{Recording, Termination};
-use asyrgs_core::rgs::{try_rgs_solve_block, RgsOptions};
 use asyrgs_krylov::cg::{try_cg_solve_block, CgOptions};
 use asyrgs_sparse::RowMajorMat;
 
@@ -34,13 +34,16 @@ fn main() {
     let b = label_block(n, k, 0xF161);
 
     // Randomized Gauss-Seidel (general-diagonal iteration (3); the paper's
-    // matrix does not have unit diagonal either).
+    // matrix does not have unit diagonal either): AsyRGS on one thread,
+    // synchronized every sweep so each sweep is recorded.
     let mut x_rgs = RowMajorMat::zeros(n, k);
-    let rgs = try_rgs_solve_block(
+    let rgs = try_asyrgs_solve_block(
         g,
         &b,
         &mut x_rgs,
-        &RgsOptions {
+        &AsyRgsOptions {
+            threads: 1,
+            epoch_sweeps: Some(1),
             term: Termination::sweeps(sweeps),
             record: Recording::every(1),
             ..Default::default()

@@ -19,7 +19,6 @@ use asyrgs_bench::{
 };
 use asyrgs_core::asyrgs::{try_asyrgs_solve_block, AsyRgsOptions, WriteMode};
 use asyrgs_core::driver::{Recording, Termination};
-use asyrgs_core::rgs::{try_rgs_solve_block, RgsOptions};
 use asyrgs_sparse::RowMajorMat;
 
 fn main() {
@@ -33,13 +32,15 @@ fn main() {
     let b = label_block(n, k, seed);
     eprintln!("# fig2_center: n = {n}, {k} RHS, {sweeps} sweeps, fixed Philox direction set");
 
-    // Synchronous reference (thread-count independent).
+    // Synchronous reference (thread-count independent): AsyRGS on one
+    // thread is sequential RGS.
     let mut x_sync = RowMajorMat::zeros(n, k);
-    let sync = try_rgs_solve_block(
+    let sync = try_asyrgs_solve_block(
         g,
         &b,
         &mut x_sync,
-        &RgsOptions {
+        &AsyRgsOptions {
+            threads: 1,
             seed,
             term: Termination::sweeps(sweeps),
             record: Recording::end_only(),

@@ -18,7 +18,7 @@
 //!   [`zipf_hot_matrix_replay`] hot-matrix workload, where every
 //!   submission materializes its *own copy* of the matrix, and report the
 //!   content-addressed registry's dedup hit rate, cross-tenant coalescing
-//!   counts, warm-start seeds, and matrix-update rekeys, plus a bitwise
+//!   counts and warm-start seeds, plus a bitwise
 //!   cross-check that a cross-tenant coalesced solve equals a solo
 //!   dispatch.
 //!
@@ -39,10 +39,7 @@
 use asyrgs::session::{SolverBuilder, SolverFamily};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::error::SolveError;
-use asyrgs_serve::{
-    JobHandle, JobStats, MatrixFingerprint, MatrixUpdate, Scheduler, SchedulerConfig, SolveJob,
-    TenantId,
-};
+use asyrgs_serve::{JobHandle, JobStats, Scheduler, SchedulerConfig, SolveJob, TenantId};
 use asyrgs_sparse::CsrMatrix;
 use asyrgs_workloads::scenarios;
 use asyrgs_workloads::traffic::{mixed_tenant_mix, zipf_hot_matrix_replay};
@@ -283,7 +280,6 @@ struct RegistrySection {
     zipf_s: f64,
     cold_jobs: usize,
     resubmit_jobs: usize,
-    update_jobs: usize,
     tenants: usize,
     unique_matrices: usize,
     seconds: f64,
@@ -301,7 +297,7 @@ struct RegistrySection {
 
 impl RegistrySection {
     fn total_jobs(&self) -> usize {
-        self.cold_jobs + self.resubmit_jobs + self.update_jobs
+        self.cold_jobs + self.resubmit_jobs
     }
 }
 
@@ -420,38 +416,11 @@ fn registry_section(
             .collect(),
     );
 
-    // Matrix-update jobs: shift the hottest matrix's diagonal in place
-    // (copy-on-write patch of the cached operator), then solve against
-    // the patched fingerprint via its canonical artifacts.
-    let (hot_a, hot_b) = &problems[0];
-    let hot_fp = MatrixFingerprint::of(hot_a);
-    let new_fp = sched
-        .apply_matrix_update(
-            hot_fp,
-            &MatrixUpdate::DiagonalShift {
-                delta: vec![0.125; hot_a.n_rows()],
-            },
-        )
-        .expect("hot matrix is registered and square");
-    let patched = sched
-        .artifacts(new_fp)
-        .expect("patched entry is registered")
-        .a;
-    let update_jobs = width.max(2);
-    drain(
-        (0..update_jobs)
-            .map(|i| {
-                let job = SolveJob::new(builder.clone(), Arc::clone(&patched), hot_b.clone())
-                    .with_tenant(TenantId(1 + i as u64));
-                sched.submit(job).expect("valid job")
-            })
-            .collect(),
-    );
     let seconds = start.elapsed().as_secs_f64();
 
     let reg = sched.registry_stats();
     let stats = sched.stats();
-    let total_jobs = jobs + resubmit_jobs + update_jobs;
+    let total_jobs = jobs + resubmit_jobs;
     let (latency, queue_wait, solve) = split.percentiles();
 
     let (coalesce_bitwise_ok, _) = cross_tenant_bitwise_check(
@@ -466,7 +435,6 @@ fn registry_section(
         zipf_s: replay.zipf_s,
         cold_jobs: jobs,
         resubmit_jobs,
-        update_jobs,
         tenants,
         unique_matrices: replay.matrices.len(),
         seconds,
@@ -548,26 +516,24 @@ fn main() {
         "cross-tenant coalesced solve diverged bitwise from solo dispatch"
     );
     eprintln!(
-        "  zipf replay: {} jobs ({} cold + {} resubmit + {} update) over {} tenants, \
+        "  zipf replay: {} jobs ({} cold + {} resubmit) over {} tenants, \
          {} unique matrices, in {:.3}s",
         registry.total_jobs(),
         registry.cold_jobs,
         registry.resubmit_jobs,
-        registry.update_jobs,
         registry.tenants,
         registry.unique_matrices,
         registry.seconds,
     );
     eprintln!(
         "    dedup hit rate {:.1}% ({} hits / {} misses), coalesced {} ({} cross-tenant), \
-         warm-started {}, updates {}, evictions {}, collisions {}",
+         warm-started {}, evictions {}, collisions {}",
         registry.dedup_hit_rate * 100.0,
         registry.reg.hits,
         registry.reg.misses,
         registry.sched.coalesced,
         registry.sched.cross_tenant_coalesced,
         registry.warm_started_jobs,
-        registry.reg.updates,
         registry.reg.evictions,
         registry.reg.collisions,
     );
@@ -618,7 +584,7 @@ fn main() {
     let _ = writeln!(
         j,
         "    \"zipf_replay\": {{\"seed\": {}, \"zipf_s\": {:.2}, \"jobs\": {}, \
-         \"cold_jobs\": {}, \"resubmit_jobs\": {}, \"update_jobs\": {}, \"tenants\": {}, \
+         \"cold_jobs\": {}, \"resubmit_jobs\": {}, \"tenants\": {}, \
          \"unique_matrices\": {}, \"seconds\": {:.6e}, \"jobs_per_second\": {:.2}, \
          \"latency_ms\": {}, \"queue_wait_ms\": {}, \"solve_ms\": {}}},",
         registry.seed,
@@ -626,7 +592,6 @@ fn main() {
         registry.total_jobs(),
         registry.cold_jobs,
         registry.resubmit_jobs,
-        registry.update_jobs,
         registry.tenants,
         registry.unique_matrices,
         registry.seconds,
@@ -643,13 +608,12 @@ fn main() {
     let _ = writeln!(
         j,
         "    \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"collisions\": {}, \
-         \"warm_starts\": {}, \"updates\": {}, \"entries\": {}, \"bytes\": {},",
+         \"warm_starts\": {}, \"entries\": {}, \"bytes\": {},",
         registry.reg.hits,
         registry.reg.misses,
         registry.reg.evictions,
         registry.reg.collisions,
         registry.reg.warm_starts,
-        registry.reg.updates,
         registry.reg.entries,
         registry.reg.bytes,
     );

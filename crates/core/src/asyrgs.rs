@@ -28,6 +28,15 @@
 //! Workers are generic over [`RowAccess`]; stopping and telemetry (at epoch
 //! boundaries, the only points where the shared iterate is quiescent) route
 //! through the shared [`crate::driver`].
+//!
+//! This is the crate's only Gauss-Seidel solve loop. Sequential RGS
+//! ([`crate::rgs`]) is Algorithm 1 run by one processor, so it is this
+//! solver at `threads == 1`. That case runs on the caller's thread over a
+//! plain iterate: no shared atomic vector, no CAS, no claim or delay
+//! counters, no pool round. It applies the same updates in the same order
+//! as one pool worker over the shared vector, so both give the same bits
+//! (a unit test below pins that, since every deterministic solve now takes
+//! the one-thread path).
 
 use crate::atomic::SharedVec;
 use crate::driver::{
@@ -83,11 +92,13 @@ pub struct AsyRgsOptions {
     /// requires `beta < 1` for a guarantee, but the solver accepts the full
     /// range (the paper runs `beta = 1` in practice).
     pub beta: f64,
-    /// Worker thread count `P`.
+    /// Worker thread count `P`. One is sequential RGS, run on the
+    /// caller's thread over a plain iterate.
     pub threads: usize,
-    /// Write mode (atomic CAS vs racy load/store).
+    /// Write mode (atomic CAS vs racy load/store); ignored at one thread.
     pub write_mode: WriteMode,
-    /// Read mode (lock-free inconsistent vs lock-enforced consistent).
+    /// Read mode (lock-free inconsistent vs lock-enforced consistent);
+    /// ignored at one thread.
     pub read_mode: ReadMode,
     /// Row sampling distribution (uniform, or proportional to the
     /// diagonal per Leventhal-Lewis for general-diagonal matrices).
@@ -115,9 +126,10 @@ pub struct AsyRgsOptions {
     pub health: Option<HealthConfig>,
     /// Optional deterministic fault-injection schedule (tests and the
     /// fault harness). `None` (the default) injects nothing. Pool-level
-    /// faults (stalls, kills, slow clocks) fire at epoch-round starts;
-    /// poisoned updates write a NaN into the shared iterate mid-round.
-    /// Honored by the single-RHS solve only.
+    /// faults (stalls, kills, slow clocks) fire at epoch-round starts, on
+    /// one thread as on the pool; poisoned updates write a NaN into the
+    /// iterate at the start of the poisoning worker's round. Honored by
+    /// the single-RHS solve only.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -248,10 +260,49 @@ fn worker<O: RowAccess>(
     max_delay.fetch_max(local_max, Ordering::Relaxed);
 }
 
+/// The one-thread walk: iterations `start..limit` applied in order to the
+/// plain iterate `x` on the caller's thread, with directions drawn
+/// [`DrawBuffer::DEFAULT_CAPACITY`] at a time into `draws` and walked by
+/// [`walk_rows`]. The same expressions in the same order as [`worker`], so
+/// at one thread the two give the same bits; this one pays no atomic load
+/// or write and no shared-counter traffic.
+#[allow(clippy::too_many_arguments)]
+fn one_thread_walk<O: RowAccess>(
+    a: &O,
+    b: &[f64],
+    x: &mut [f64],
+    dinv: &[f64],
+    ds: &Directions,
+    draws: &mut [usize],
+    start: u64,
+    limit: u64,
+    beta: f64,
+) {
+    let prefetch = a.prefetch_pays();
+    let mut j = start;
+    while j < limit {
+        let batch = draws.len().min((limit - j) as usize);
+        let dirs = &mut draws[..batch];
+        ds.fill_directions(j, dirs);
+        j += batch as u64;
+        walk_rows(a, dirs, prefetch, |r| {
+            let gamma = (b[r] - a.row_dot(r, x)) * dinv[r];
+            x[r] += beta * gamma;
+        });
+    }
+}
+
 /// AsyRGS on an injected worker pool and caller-owned [`SolveWorkspace`] —
 /// the allocation-amortized entry point behind the session API. The pool
-/// must provide at least `opts.threads`-way concurrency; repeated calls
-/// with the same-sized system perform no heap allocation in the hot path.
+/// must provide at least `opts.threads`-way concurrency.
+///
+/// At `opts.threads == 1` — sequential RGS, the paper's one-processor
+/// case — every epoch runs on the caller's thread over a plain copy of
+/// `x` in the workspace, and `write_mode` and `read_mode` are ignored (with
+/// no concurrent writer they cannot change a bit). Repeated calls with the
+/// same-sized system then perform no heap allocation in the hot path. With
+/// two or more threads the workers share an atomic iterate, and each
+/// allocates its draw buffer once per epoch.
 ///
 /// `x` holds the initial iterate on entry and the final iterate on exit.
 /// If `x_star` is supplied, A-norm errors are recorded at epoch boundaries.
@@ -278,8 +329,6 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
     inverse_diag_into(&ws.diag, &mut ws.dinv)?;
     let dinv = &ws.dinv;
     let ds = Directions::new(opts.sampling, opts.seed, n, &ws.diag);
-    ws.shared.reset_from(x);
-    let shared = &ws.shared;
     let norm_b = dense::norm2(b).max(f64::MIN_POSITIVE);
     let norm_xs_a = x_star.map(|xs| a.a_norm(xs).max(f64::MIN_POSITIVE));
 
@@ -295,15 +344,28 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
     let mut sweeps_done = 0usize;
     // Observation scratch, reused across every epoch boundary (and across
     // solves): the iterate snapshot, the residual buffer (doubling as the
-    // A-norm matvec scratch), and the error diff.
+    // A-norm matvec scratch), and the error diff. One thread iterates on
+    // the snapshot buffer itself, so `x` is written only at the end and a
+    // watchdog trip leaves it untouched; more share `ws.shared`. The choice
+    // follows the thread count asked for, not the one left after a killed
+    // worker, which still shares the iterate.
+    let one_thread = opts.threads == 1;
     resize_scratch(&mut ws.snap, n);
     resize_scratch(&mut ws.resid, n);
     if x_star.is_some() {
         resize_scratch(&mut ws.diff, n);
     }
+    if one_thread {
+        ws.snap.copy_from_slice(x);
+        ws.draws.resize(DrawBuffer::DEFAULT_CAPACITY, 0);
+    } else {
+        ws.shared.reset_from(x);
+    }
+    let shared = &ws.shared;
     let snap = &mut ws.snap;
     let resid = &mut ws.resid;
     let diff = &mut ws.diff;
+    let draws = &mut ws.draws;
     let healthy = &mut ws.healthy;
 
     let mut monitor = opts.health.as_ref().map(|c| HealthMonitor::new(c.clone()));
@@ -316,38 +378,52 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
 
     while sweeps_done < driver.max_sweeps() {
         let sweeps_this_epoch = epoch_sweeps.min(driver.max_sweeps() - sweeps_done);
+        let start = (sweeps_done as u64) * (n as u64);
         sweeps_done += sweeps_this_epoch;
         let limit = (sweeps_done as u64) * (n as u64);
         let claim = claim_batch((sweeps_this_epoch as u64) * (n as u64), threads_now);
         let round = epoch;
-        // One pool round per epoch: round completion is the
-        // synchronization point.
-        let run_round = |p: usize| {
-            pool.run(p, |w| {
+        // One round per epoch. On the pool, round completion is the
+        // synchronization point; one thread walks the epoch inline. Fault
+        // hooks fire at the start of each worker's round on both.
+        let mut run_round = |p: usize| {
+            if one_thread {
                 if let Some(plan) = fault_plan {
-                    plan.apply_pool_faults(w, round);
-                    if let Some(idx) = plan.poison_for(w, round) {
+                    plan.apply_pool_faults(0, round);
+                    if let Some(idx) = plan.poison_for(0, round) {
                         if idx < n {
-                            shared.store(idx, f64::NAN);
+                            snap[idx] = f64::NAN;
                         }
                     }
                 }
-                worker(
-                    a,
-                    b,
-                    shared,
-                    dinv,
-                    &ds,
-                    &counter,
-                    limit,
-                    claim,
-                    opts.beta,
-                    opts.write_mode,
-                    lock.as_ref(),
-                    &commits,
-                    &max_delay,
-                )
-            })
+                one_thread_walk(a, b, snap, dinv, &ds, draws, start, limit, opts.beta);
+            } else {
+                pool.run(p, |w| {
+                    if let Some(plan) = fault_plan {
+                        plan.apply_pool_faults(w, round);
+                        if let Some(idx) = plan.poison_for(w, round) {
+                            if idx < n {
+                                shared.store(idx, f64::NAN);
+                            }
+                        }
+                    }
+                    worker(
+                        a,
+                        b,
+                        shared,
+                        dinv,
+                        &ds,
+                        &counter,
+                        limit,
+                        claim,
+                        opts.beta,
+                        opts.write_mode,
+                        lock.as_ref(),
+                        &commits,
+                        &max_delay,
+                    )
+                });
+            }
         };
         if monitor.is_some() {
             if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_round(threads_now)))
@@ -361,10 +437,12 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
         } else {
             run_round(threads_now);
         }
-        // Exiting workers overshoot the claim counter by up to one claim
-        // batch each; reset it to the exact epoch boundary while they are
-        // quiescent so the next epoch misses no iteration.
-        counter.store(limit, Ordering::Relaxed);
+        if !one_thread {
+            // Exiting workers overshoot the claim counter by up to one
+            // claim batch each; reset it to the exact epoch boundary while
+            // they are quiescent so the next epoch misses no iteration.
+            counter.store(limit, Ordering::Relaxed);
+        }
         epoch += 1;
         // Synchronized: observe telemetry through the driver (scratch
         // buffers reused, nothing allocated). The residual runs on the
@@ -375,7 +453,9 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
             // compute it eagerly, run the health checks (a trip returns a
             // typed error with `x` untouched — it is only written below,
             // after the loop), and feed the driver the precomputed values.
-            shared.snapshot_into(snap);
+            if !one_thread {
+                shared.snapshot_into(snap);
+            }
             mon.check_iterate("asyrgs_solve", round as usize, snap)?;
             a.par_residual_into_on(pool, threads_now, b, snap, resid);
             let rel = dense::norm2(resid) / norm_b;
@@ -391,7 +471,9 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
             driver.observe_lazy(sweeps_done, limit, || (rel, err))
         } else {
             driver.observe_lazy(sweeps_done, limit, || {
-                shared.snapshot_into(snap);
+                if !one_thread {
+                    shared.snapshot_into(snap);
+                }
                 a.par_residual_into_on(pool, threads_now, b, snap, resid);
                 let rel = dense::norm2(resid) / norm_b;
                 let err = x_star.map(|xs| {
@@ -408,7 +490,11 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
         }
     }
 
-    shared.snapshot_into(x);
+    if one_thread {
+        x.copy_from_slice(snap);
+    } else {
+        shared.snapshot_into(x);
+    }
     let iterations = (sweeps_done as u64) * (n as u64);
     let mut report = driver.finish(iterations, threads_now, || {
         a.residual_into(b, x, resid);
@@ -505,10 +591,57 @@ fn worker_block(
     }
 }
 
+/// The one-thread block walk: iterations `start..limit` applied in order
+/// to the row-major iterate `x` in place, each updating the whole row
+/// `X[r, :]` with the association [`worker_block`] uses, so at one thread
+/// the two give the same bits. Directions are drawn as in
+/// [`one_thread_walk`]; `gammas` holds one coefficient per right-hand side.
+#[allow(clippy::too_many_arguments)]
+fn one_thread_walk_block(
+    a: &CsrMatrix,
+    b: &RowMajorMat,
+    x: &mut RowMajorMat,
+    dinv: &[f64],
+    ds: &Directions,
+    draws: &mut [usize],
+    gammas: &mut [f64],
+    start: u64,
+    limit: u64,
+    beta: f64,
+) {
+    let mut j = start;
+    while j < limit {
+        let batch = draws.len().min((limit - j) as usize);
+        let dirs = &mut draws[..batch];
+        ds.fill_directions(j, dirs);
+        j += batch as u64;
+        for &r in dirs.iter() {
+            let (cols, vals) = a.row(r);
+            gammas.fill(0.0);
+            for (&c, &v) in cols.iter().zip(vals) {
+                for (g, xv) in gammas.iter_mut().zip(x.row(c)) {
+                    *g += v * xv;
+                }
+            }
+            let br = b.row(r);
+            for ((xv, g), bv) in x.row_mut(r).iter_mut().zip(gammas.iter()).zip(br) {
+                let gamma = (bv - g) * dinv[r];
+                *xv += beta * gamma;
+            }
+        }
+    }
+}
+
 /// Multi-RHS AsyRGS on an injected worker pool and caller-owned
 /// [`SolveWorkspace`]: solves `A X = B` for row-major blocks (the paper's
 /// 51 simultaneous systems, Section 9), all right-hand sides sharing one
 /// direction stream and one quiescence-epoch structure.
+///
+/// At `opts.threads == 1` every epoch updates `X` in place on the caller's
+/// thread, ignoring `write_mode` and `read_mode`, and repeated same-sized
+/// calls allocate nothing in the hot path. With two or more threads the
+/// workers share an atomic block, and each allocates its draw buffer and
+/// coefficient scratch once per epoch.
 ///
 /// # Errors
 /// Returns a [`SolveError`] (and leaves `X` untouched) if `A` is not
@@ -542,8 +675,6 @@ pub fn asyrgs_solve_block_in(
     inverse_diag_into(&ws.diag, &mut ws.dinv)?;
     let dinv = &ws.dinv;
     let ds = Directions::new(opts.sampling, opts.seed, n, &ws.diag);
-    ws.shared.reset_from(x.as_slice());
-    let shared = &ws.shared;
     let norm_b = b.frobenius_norm().max(f64::MIN_POSITIVE);
 
     let epoch_sweeps = effective_epoch(opts);
@@ -555,37 +686,57 @@ pub fn asyrgs_solve_block_in(
     let mut driver = Driver::new(&opts.term, opts.record);
     let mut sweeps_done = 0usize;
     // Observation scratch blocks, reused across every epoch boundary (and
-    // across solves).
-    resize_scratch_mat(&mut ws.blk_snap, n, k);
+    // across solves). One thread updates `X` in place and needs no
+    // snapshot; more share `ws.shared`.
+    let one_thread = opts.threads == 1;
+    if one_thread {
+        ws.draws.resize(DrawBuffer::DEFAULT_CAPACITY, 0);
+        resize_scratch(&mut ws.gammas, k);
+    } else {
+        ws.shared.reset_from(x.as_slice());
+        resize_scratch_mat(&mut ws.blk_snap, n, k);
+    }
     resize_scratch_mat(&mut ws.blk_resid, n, k);
+    let shared = &ws.shared;
     let snap = &mut ws.blk_snap;
     let resid = &mut ws.blk_resid;
+    let draws = &mut ws.draws;
+    let gammas = &mut ws.gammas;
 
     while sweeps_done < driver.max_sweeps() {
         let sweeps_this_epoch = epoch_sweeps.min(driver.max_sweeps() - sweeps_done);
+        let start = (sweeps_done as u64) * (n as u64);
         sweeps_done += sweeps_this_epoch;
         let limit = (sweeps_done as u64) * (n as u64);
-        let claim = claim_batch((sweeps_this_epoch as u64) * (n as u64), opts.threads);
-        pool.run(opts.threads, |_| {
-            worker_block(
-                a,
-                b,
-                shared,
-                k,
-                dinv,
-                &ds,
-                &counter,
-                limit,
-                claim,
-                opts.beta,
-                opts.write_mode,
-                lock.as_ref(),
-            )
-        });
-        counter.store(limit, Ordering::Relaxed);
+        if one_thread {
+            one_thread_walk_block(a, b, x, dinv, &ds, draws, gammas, start, limit, opts.beta);
+        } else {
+            let claim = claim_batch((sweeps_this_epoch as u64) * (n as u64), opts.threads);
+            pool.run(opts.threads, |_| {
+                worker_block(
+                    a,
+                    b,
+                    shared,
+                    k,
+                    dinv,
+                    &ds,
+                    &counter,
+                    limit,
+                    claim,
+                    opts.beta,
+                    opts.write_mode,
+                    lock.as_ref(),
+                )
+            });
+            counter.store(limit, Ordering::Relaxed);
+        }
         let stop = driver.observe_lazy(sweeps_done, limit, || {
-            shared.snapshot_into(snap.as_mut_slice());
-            a.residual_block_into(b, snap, resid);
+            if one_thread {
+                a.residual_block_into(b, x, resid);
+            } else {
+                shared.snapshot_into(snap.as_mut_slice());
+                a.residual_block_into(b, snap, resid);
+            }
             (resid.frobenius_norm() / norm_b, None)
         });
         if stop {
@@ -593,7 +744,9 @@ pub fn asyrgs_solve_block_in(
         }
     }
 
-    shared.snapshot_into(x.as_mut_slice());
+    if !one_thread {
+        shared.snapshot_into(x.as_mut_slice());
+    }
     let iterations = (sweeps_done as u64) * (n as u64);
     Ok(driver.finish(iterations, opts.threads, || {
         a.residual_block_into(b, x, resid);
@@ -873,35 +1026,33 @@ mod tests {
 
     #[test]
     fn block_solve_single_thread_matches_sequential_block() {
+        // Sequential RGS synchronizes every sweep; one free-running epoch
+        // must give the same bits.
         let (a, b, _) = problem(5);
         let n = a.n_rows();
         let k = 2;
         let mut b_blk = RowMajorMat::zeros(n, k);
         b_blk.set_col(0, &b);
         b_blk.set_col(1, &vec![1.0; n]);
-        let opts_seq = RgsOptions {
+        let free = AsyRgsOptions {
+            threads: 1,
             term: Termination::sweeps(6),
-            record: Recording::end_only(),
             ..Default::default()
         };
         let mut x_seq = RowMajorMat::zeros(n, k);
-        crate::rgs::try_rgs_solve_block(&a, &b_blk, &mut x_seq, &opts_seq)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut x_async = RowMajorMat::zeros(n, k);
         try_asyrgs_solve_block(
             &a,
             &b_blk,
-            &mut x_async,
+            &mut x_seq,
             &AsyRgsOptions {
-                threads: 1,
-                term: Termination::sweeps(6),
-                ..Default::default()
+                epoch_sweeps: Some(1),
+                ..free.clone()
             },
         )
         .unwrap_or_else(|e| panic!("{e}"));
-        for (s, p) in x_seq.as_slice().iter().zip(x_async.as_slice()) {
-            assert!((s - p).abs() < 1e-14);
-        }
+        let mut x_async = RowMajorMat::zeros(n, k);
+        try_asyrgs_solve_block(&a, &b_blk, &mut x_async, &free).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(x_seq.as_slice(), x_async.as_slice());
     }
 
     #[test]
@@ -1046,6 +1197,89 @@ mod tests {
         )
         .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn shared_walk_is_bitwise_the_one_thread_walk() {
+        // Every deterministic solve takes the one-thread walk, so this is
+        // what pins the pool workers' shared walk: one worker over a
+        // `SharedVec`, in each write and read configuration, and one block
+        // worker must give the one-thread walks' bits. The two matrices
+        // sit on either side of the prefetch cutoff.
+        let sweeps = 3u64;
+        for a in [laplace2d(12, 12), diag_dominant(1 << 14, 16, 2.0, 5)] {
+            let n = a.n_rows();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
+            let x0: Vec<f64> = (0..n).map(|i| (i % 5) as f64 * 0.25).collect();
+            let mut diag = Vec::new();
+            let mut dinv = Vec::new();
+            LinearOperator::diag_into(&a, &mut diag);
+            inverse_diag_into(&diag, &mut dinv).unwrap();
+            let ds = Directions::new(RowSampling::Uniform, 0x5EED, n, &diag);
+            let limit = sweeps * n as u64;
+            let claim = claim_batch(limit, 1);
+            let mut draws = vec![0; DrawBuffer::DEFAULT_CAPACITY];
+            let prefetch = a.prefetch_pays();
+
+            let mut plain = x0.clone();
+            one_thread_walk(&a, &b, &mut plain, &dinv, &ds, &mut draws, 0, limit, 1.0);
+            let lock = RwLock::new(());
+            for (mode, lock) in [
+                (WriteMode::Atomic, None),
+                (WriteMode::NonAtomic, None),
+                (WriteMode::Atomic, Some(&lock)),
+            ] {
+                let shared = SharedVec::from_slice(&x0);
+                let (counter, commits, max_delay) = Default::default();
+                worker(
+                    &a, &b, &shared, &dinv, &ds, &counter, limit, claim, 1.0, mode, lock, &commits,
+                    &max_delay,
+                );
+                assert!(
+                    shared.snapshot() == plain,
+                    "n = {n} (prefetch {prefetch}), {mode:?}, locked {}",
+                    lock.is_some()
+                );
+            }
+
+            let k = 3;
+            let mut b_blk = RowMajorMat::zeros(n, k);
+            let mut x_blk = RowMajorMat::zeros(n, k);
+            for t in 0..k {
+                let scale = (t + 1) as f64;
+                b_blk.set_col(t, &b.iter().map(|v| v * scale).collect::<Vec<_>>());
+                x_blk.set_col(t, &x0.iter().map(|v| v - scale).collect::<Vec<_>>());
+            }
+            let shared = SharedVec::from_slice(x_blk.as_slice());
+            let mut gammas = vec![0.0; k];
+            one_thread_walk_block(
+                &a,
+                &b_blk,
+                &mut x_blk,
+                &dinv,
+                &ds,
+                &mut draws,
+                &mut gammas,
+                0,
+                limit,
+                1.0,
+            );
+            worker_block(
+                &a,
+                &b_blk,
+                &shared,
+                k,
+                &dinv,
+                &ds,
+                &AtomicU64::new(0),
+                limit,
+                claim,
+                1.0,
+                WriteMode::Atomic,
+                None,
+            );
+            assert!(shared.snapshot() == x_blk.as_slice(), "block, n = {n}");
+        }
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! * [`driver`] — the shared solve driver every entry point consumes:
 //!   [`Termination`] (sweep budget, residual target, wall-clock budget),
 //!   [`Recording`] (residual cadence), and the shared input validation;
-//! * [`rgs`] — sequential Randomized Gauss-Seidel (the synchronous
-//!   baseline, Section 3), single and multi-RHS;
 //! * [`asyrgs`] — **AsyRGS**, the asynchronous shared-memory solver
-//!   (Section 4): lock-free workers over a shared iterate with atomic or
-//!   non-atomic writes, occasional-synchronization epochs, and step-size
-//!   control (Section 6);
+//!   (Section 4) and the crate's one Gauss-Seidel engine: lock-free
+//!   workers over a shared iterate with atomic or non-atomic writes,
+//!   occasional-synchronization epochs, and step-size control (Section 6);
+//!   at one thread it runs on the caller's thread over a plain iterate,
+//!   which is sequential RGS, single and multi-RHS;
+//! * [`rgs`] — sequential Randomized Gauss-Seidel (the synchronous
+//!   baseline, Section 3) as a name for AsyRGS on one thread, plus the row
+//!   sampling and direction streams both share;
 //! * [`lsq`] — randomized coordinate descent for overdetermined least
 //!   squares and its asynchronous variant (Section 8);
 //! * [`theory`] — every convergence bound of the paper (Eq. (2),
@@ -81,9 +84,7 @@ pub use partitioned::{
     partitioned_solve_in, try_partitioned_solve, PartitionedOptions, PartitionedReport,
 };
 pub use report::{RecoveryAttempt, SolveReport, SweepRecord};
-pub use rgs::{
-    rgs_solve_block_in, rgs_solve_in, try_rgs_solve, try_rgs_solve_block, RgsOptions, RowSampling,
-};
+pub use rgs::{try_rgs_solve, RgsOptions, RowSampling};
 pub use theory::ProblemParams;
 pub use workspace::SolveWorkspace;
 

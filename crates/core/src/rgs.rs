@@ -8,27 +8,22 @@
 //! `E_m <= (1 - beta(2-beta) lambda_min / n)^m ||x_0 - x*||_A^2`
 //! (after unit-diagonal rescaling).
 //!
-//! Directions come from a Philox counter stream, so the exact same direction
-//! sequence can be replayed by the asynchronous solver (paper Section 9 uses
-//! Random123 for the same purpose).
-//!
-//! The solvers are generic over [`RowAccess`], so they run unchanged on
-//! [`CsrMatrix`], on dense row-major matrices, and on the zero-copy
-//! [`UnitDiagonalView`](asyrgs_sparse::UnitDiagonalView) rescaling wrapper.
-//! Stopping and telemetry route through the shared [`crate::driver`].
+//! RGS has no solve loop of its own: it is Algorithm 1 run by one
+//! processor, which is how the paper defines it, so
+//! [`asyrgs`](crate::asyrgs) at one thread runs it, on the caller's thread
+//! over a plain iterate. [`RgsOptions`] and [`try_rgs_solve`] name that
+//! configuration (one thread, one sweep per epoch). This module keeps what
+//! both share: the row-sampling choice, the Philox direction provider (the
+//! same direction sequence at every thread count; paper Section 9 uses
+//! Random123 for the same purpose), and the row walk.
 
-use crate::driver::{
-    ensure_beta, ensure_finite_matrix, ensure_finite_slice, ensure_finite_system,
-    ensure_square_block_system, ensure_square_system, inverse_diag_into, Driver, Recording,
-    Termination,
-};
+use crate::asyrgs::{try_asyrgs_solve, AsyRgsOptions};
+use crate::driver::{Recording, Termination};
 use crate::error::SolveError;
-use crate::health::{HealthConfig, HealthMonitor};
+use crate::health::HealthConfig;
 use crate::report::SolveReport;
-use crate::workspace::{resize_scratch, resize_scratch_mat, SolveWorkspace};
-use asyrgs_rng::{DirectionStream, DrawBuffer, WeightedDirectionStream};
-use asyrgs_sparse::dense::{self, RowMajorMat};
-use asyrgs_sparse::{CsrMatrix, RowAccess};
+use asyrgs_rng::{DirectionStream, WeightedDirectionStream};
+use asyrgs_sparse::RowAccess;
 
 /// How rows are sampled each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,18 +56,10 @@ impl Directions {
         }
     }
 
-    #[inline]
-    pub(crate) fn direction(&self, j: u64) -> usize {
-        match self {
-            Directions::Uniform(s) => s.direction(j),
-            Directions::Weighted(s) => s.direction(j),
-        }
-    }
-
     /// Batched draw: fill `out[k]` with the direction of iteration
     /// `start + k`. One enum dispatch per batch instead of per draw;
     /// counter-based random access makes the result bitwise identical to
-    /// per-iteration [`direction`](Self::direction) calls.
+    /// per-iteration draws, whatever the batch boundaries.
     #[inline]
     pub(crate) fn fill_directions(&self, start: u64, out: &mut [usize]) {
         match self {
@@ -86,7 +73,7 @@ impl Directions {
 const PREFETCH_AHEAD: usize = 8;
 
 /// Apply `update` to the drawn rows `dirs` in order — the row walk of the
-/// AsyRGS worker and of sequential RGS.
+/// AsyRGS pool workers and of the one-thread walk.
 ///
 /// With `prefetch` (the caller passes the operator's
 /// [`RowAccess::prefetch_pays`]), it first hints the batch's first
@@ -119,7 +106,9 @@ pub(crate) fn walk_rows<O: RowAccess, F: FnMut(usize)>(
     }
 }
 
-/// Options shared by the sequential solvers.
+/// Options of sequential RGS: the subset of [`AsyRgsOptions`] that one
+/// thread reads. [`try_rgs_solve`] runs them as AsyRGS with `threads: 1`
+/// and `epoch_sweeps: Some(1)`.
 #[derive(Debug, Clone)]
 pub struct RgsOptions {
     /// Step size `beta` in `(0, 2)` (Griebel-Oswald relaxation); the
@@ -138,9 +127,8 @@ pub struct RgsOptions {
     pub record: Recording,
     /// Optional numerical-health watchdog, evaluated at every sweep
     /// boundary. `None` (the default) leaves the solve path bitwise
-    /// unchanged. When set, the solver iterates on workspace scratch so a
-    /// trip surfaces as a typed [`SolveError`] with `x` left untouched.
-    /// Honored by the single-RHS solve only; the block solve ignores it.
+    /// unchanged. A trip surfaces as a typed [`SolveError`] with `x` left
+    /// untouched.
     pub health: Option<HealthConfig>,
 }
 
@@ -157,10 +145,9 @@ impl Default for RgsOptions {
     }
 }
 
-/// Solve `A x = b` by sequential Randomized Gauss-Seidel, using the
-/// caller's [`SolveWorkspace`] for all scratch — the allocation-amortized
-/// entry point behind the session API: repeated calls with the same-sized
-/// system perform no heap allocation in the hot path.
+/// Solve `A x = b` by sequential Randomized Gauss-Seidel: AsyRGS on one
+/// thread ([`try_asyrgs_solve`]), synchronized every sweep so each sweep
+/// can record and stop.
 ///
 /// `x` holds the initial iterate on entry and the final iterate on exit.
 /// If `x_star` is supplied, per-record A-norm errors are reported.
@@ -169,243 +156,32 @@ impl Default for RgsOptions {
 /// Returns a [`SolveError`] (and leaves `x` untouched) if `A` is not
 /// square or empty, `b`/`x` have mismatched lengths, a diagonal entry is
 /// non-positive, or `beta` is outside `(0, 2)`.
-pub fn rgs_solve_in<O: RowAccess>(
-    ws: &mut SolveWorkspace,
+pub fn try_rgs_solve<O: RowAccess + Sync>(
     a: &O,
     b: &[f64],
     x: &mut [f64],
     x_star: Option<&[f64]>,
     opts: &RgsOptions,
 ) -> Result<SolveReport, SolveError> {
-    ensure_square_system("rgs_solve", a.n_rows(), a.n_cols(), b.len(), x.len())?;
-    ensure_finite_system("rgs_solve", a, b, x)?;
-    ensure_beta(opts.beta)?;
-    let n = a.n_rows();
-    a.diag_into(&mut ws.diag);
-    inverse_diag_into(&ws.diag, &mut ws.dinv)?;
-    let dinv = &ws.dinv;
-    let ds = Directions::new(opts.sampling, opts.seed, n, &ws.diag);
-    let norm_b = dense::norm2(b).max(f64::MIN_POSITIVE);
-    let norm_xs_a = x_star.map(|xs| a.a_norm(xs).max(f64::MIN_POSITIVE));
-
-    let mut driver = Driver::new(&opts.term, opts.record);
-    let mut monitor = opts.health.as_ref().map(|c| HealthMonitor::new(c.clone()));
-    let guarded = monitor.is_some();
-    let mut j: u64 = 0;
-    // Observation scratch, reused across every record point (and across
-    // solves: the workspace retains the buffers).
-    resize_scratch(&mut ws.resid, n);
-    if x_star.is_some() {
-        resize_scratch(&mut ws.diff, n);
-    }
-    if guarded {
-        resize_scratch(&mut ws.snap, n);
-        ws.snap.copy_from_slice(x);
-    }
-    // Out-of-cache matrices draw a batch of directions ahead and walk it
-    // with prefetch; the draws are counter-based, so the direction
-    // sequence is the per-iteration one.
-    let prefetch = a.prefetch_pays();
-    if prefetch {
-        ws.draws.resize(DrawBuffer::DEFAULT_CAPACITY, 0);
-    }
-    let resid = &mut ws.resid;
-    let diff = &mut ws.diff;
-    let draws = &mut ws.draws;
-
-    {
-        // With a watchdog armed, iterate on workspace scratch so a trip
-        // returns a typed error with the caller's `x` bitwise untouched.
-        let xw: &mut [f64] = if guarded {
-            ws.snap.as_mut_slice()
-        } else {
-            &mut *x
-        };
-        for sweep in 1..=driver.max_sweeps() {
-            if prefetch {
-                let end = j + n as u64;
-                while j < end {
-                    let batch = draws.len().min((end - j) as usize);
-                    let dirs = &mut draws[..batch];
-                    ds.fill_directions(j, dirs);
-                    j += batch as u64;
-                    walk_rows(a, dirs, true, |r| {
-                        let gamma = (b[r] - a.row_dot(r, xw)) * dinv[r];
-                        xw[r] += opts.beta * gamma;
-                    });
-                }
-            } else {
-                for _ in 0..n {
-                    let r = ds.direction(j);
-                    j += 1;
-                    let gamma = (b[r] - a.row_dot(r, xw)) * dinv[r];
-                    xw[r] += opts.beta * gamma;
-                }
-            }
-            let stop = if let Some(mon) = monitor.as_mut() {
-                // Every sweep boundary is a quiescent point: run the
-                // health checks eagerly and feed the driver the
-                // precomputed residual.
-                mon.check_iterate("rgs_solve", sweep - 1, xw)?;
-                a.residual_into(b, xw, resid);
-                let rel = dense::norm2(resid) / norm_b;
-                mon.observe_residual(sweep - 1, rel)?;
-                let err = x_star.map(|xs| {
-                    for ((di, xi), xsi) in diff.iter_mut().zip(xw.iter()).zip(xs) {
-                        *di = xi - xsi;
-                    }
-                    a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-                });
-                driver.observe_lazy(sweep, j, || (rel, err))
-            } else {
-                driver.observe_lazy(sweep, j, || {
-                    a.residual_into(b, xw, resid);
-                    let rel = dense::norm2(resid) / norm_b;
-                    let err = x_star.map(|xs| {
-                        for ((di, xi), xsi) in diff.iter_mut().zip(xw.iter()).zip(xs) {
-                            *di = xi - xsi;
-                        }
-                        a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-                    });
-                    (rel, err)
-                })
-            };
-            if stop {
-                break;
-            }
-        }
-    }
-    if guarded {
-        x.copy_from_slice(&ws.snap);
-    }
-
-    Ok(driver.finish(j, 1, || {
-        a.residual_into(b, x, resid);
-        dense::norm2(resid) / norm_b
-    }))
-}
-
-/// Solve `A x = b` by sequential Randomized Gauss-Seidel.
-///
-/// `x` holds the initial iterate on entry and the final iterate on exit.
-/// If `x_star` is supplied, per-record A-norm errors are reported.
-///
-/// # Errors
-/// Returns a [`SolveError`] (and leaves `x` untouched) if `A` is not
-/// square or empty, `b`/`x` have mismatched lengths, a diagonal entry is
-/// non-positive, or `beta` is outside `(0, 2)`.
-pub fn try_rgs_solve<O: RowAccess>(
-    a: &O,
-    b: &[f64],
-    x: &mut [f64],
-    x_star: Option<&[f64]>,
-    opts: &RgsOptions,
-) -> Result<SolveReport, SolveError> {
-    rgs_solve_in(&mut SolveWorkspace::new(), a, b, x, x_star, opts)
-}
-
-/// Multi-RHS Randomized Gauss-Seidel on the caller's [`SolveWorkspace`]:
-/// solves `A X = B` for row-major blocks, all right-hand sides sharing the
-/// same random direction sequence (the paper solves its 51 systems
-/// together this way, Section 9).
-///
-/// # Errors
-/// Returns a [`SolveError`] (and leaves `X` untouched) if `A` is not
-/// square or empty, the blocks do not conform, a diagonal entry is
-/// non-positive, or `beta` is outside `(0, 2)`.
-pub fn rgs_solve_block_in(
-    ws: &mut SolveWorkspace,
-    a: &CsrMatrix,
-    b: &RowMajorMat,
-    x: &mut RowMajorMat,
-    opts: &RgsOptions,
-) -> Result<SolveReport, SolveError> {
-    ensure_square_block_system(
-        "rgs_solve_block",
-        a.n_rows(),
-        a.n_cols(),
-        b.n_rows(),
-        b.n_cols(),
-        x.n_rows(),
-        x.n_cols(),
-    )?;
-    ensure_finite_matrix("rgs_solve_block", a)?;
-    ensure_finite_slice("rgs_solve_block", "right-hand side B", b.as_slice())?;
-    ensure_finite_slice("rgs_solve_block", "initial iterate X", x.as_slice())?;
-    ensure_beta(opts.beta)?;
-    let n = a.n_rows();
-    let k = b.n_cols();
-    asyrgs_sparse::LinearOperator::diag_into(a, &mut ws.diag);
-    inverse_diag_into(&ws.diag, &mut ws.dinv)?;
-    let dinv = &ws.dinv;
-    let ds = Directions::new(opts.sampling, opts.seed, n, &ws.diag);
-    let norm_b = b.frobenius_norm().max(f64::MIN_POSITIVE);
-
-    let mut driver = Driver::new(&opts.term, opts.record);
-    let mut j: u64 = 0;
-    resize_scratch(&mut ws.gammas, k);
-    resize_scratch_mat(&mut ws.blk_resid, n, k);
-    let gammas = &mut ws.gammas;
-    let resid = &mut ws.blk_resid;
-
-    for sweep in 1..=driver.max_sweeps() {
-        for _ in 0..n {
-            let r = ds.direction(j);
-            j += 1;
-            let (cols, vals) = a.row(r);
-            // Per RHS t: gamma_t = (B[r][t] - A_r X[:, t]) / A_rr, with the
-            // dot accumulated first and the same association as the
-            // single-RHS kernel (`(b - dot) * dinv`, then `beta * gamma`),
-            // so column t of a block solve is bitwise the single solve on
-            // that column — the contract `solve_many` advertises.
-            gammas.fill(0.0);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let xrow = x.row(c);
-                for t in 0..k {
-                    gammas[t] += v * xrow[t];
-                }
-            }
-            let br = b.row(r);
-            let xr = x.row_mut(r);
-            for t in 0..k {
-                let gamma = (br[t] - gammas[t]) * dinv[r];
-                xr[t] += opts.beta * gamma;
-            }
-        }
-        let stop = driver.observe_lazy(sweep, j, || {
-            a.residual_block_into(b, x, resid);
-            (resid.frobenius_norm() / norm_b, None)
-        });
-        if stop {
-            break;
-        }
-    }
-
-    Ok(driver.finish(j, 1, || {
-        a.residual_block_into(b, x, resid);
-        resid.frobenius_norm() / norm_b
-    }))
-}
-
-/// Multi-RHS Randomized Gauss-Seidel: solves `A X = B` for row-major
-/// blocks.
-///
-/// # Errors
-/// Returns a [`SolveError`] (and leaves `X` untouched) if `A` is not
-/// square or empty, the blocks do not conform, a diagonal entry is
-/// non-positive, or `beta` is outside `(0, 2)`.
-pub fn try_rgs_solve_block(
-    a: &CsrMatrix,
-    b: &RowMajorMat,
-    x: &mut RowMajorMat,
-    opts: &RgsOptions,
-) -> Result<SolveReport, SolveError> {
-    rgs_solve_block_in(&mut SolveWorkspace::new(), a, b, x, opts)
+    let opts = AsyRgsOptions {
+        beta: opts.beta,
+        threads: 1,
+        sampling: opts.sampling,
+        seed: opts.seed,
+        epoch_sweeps: Some(1),
+        term: opts.term.clone(),
+        record: opts.record,
+        health: opts.health.clone(),
+        ..Default::default()
+    };
+    try_asyrgs_solve(a, b, x, x_star, &opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asyrgs::try_asyrgs_solve_block;
+    use asyrgs_sparse::{CsrMatrix, RowMajorMat};
     use asyrgs_workloads::{diag_dominant, laplace2d, tridiag_toeplitz};
 
     #[test]
@@ -649,7 +425,15 @@ mod tests {
             ..Default::default()
         };
         let mut x_blk = RowMajorMat::zeros(n, k);
-        try_rgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap_or_else(|e| panic!("{e}"));
+        let block_opts = AsyRgsOptions {
+            threads: 1,
+            epoch_sweeps: Some(1),
+            term: opts.term.clone(),
+            record: opts.record,
+            ..Default::default()
+        };
+        try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &block_opts)
+            .unwrap_or_else(|e| panic!("{e}"));
         for t in 0..k {
             let mut x = vec![0.0; n];
             try_rgs_solve(&a, &b_blk.col(t), &mut x, None, &opts).unwrap_or_else(|e| panic!("{e}"));
@@ -667,11 +451,13 @@ mod tests {
         b_blk.set_col(0, &vec![1.0; 40]);
         b_blk.set_col(1, &(0..40).map(|i| i as f64 / 40.0).collect::<Vec<_>>());
         let mut x_blk = RowMajorMat::zeros(40, 2);
-        let rep = try_rgs_solve_block(
+        let rep = try_asyrgs_solve_block(
             &a,
             &b_blk,
             &mut x_blk,
-            &RgsOptions {
+            &AsyRgsOptions {
+                threads: 1,
+                epoch_sweeps: Some(1),
                 term: Termination::sweeps(50),
                 ..Default::default()
             },
@@ -777,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rgs_solve: right-hand side b has length 5")]
+    #[should_panic(expected = "asyrgs_solve: right-hand side b has length 5")]
     fn rejects_mismatched_rhs() {
         let a = CsrMatrix::identity(3);
         let b = vec![1.0; 5];

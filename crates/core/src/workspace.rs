@@ -19,22 +19,23 @@
 //! One workspace, many solves — buffer reuse never changes results:
 //!
 //! ```
-//! use asyrgs_core::rgs::{rgs_solve_in, RgsOptions};
+//! use asyrgs_core::asyrgs::{asyrgs_solve_in, AsyRgsOptions};
 //! use asyrgs_core::workspace::SolveWorkspace;
 //! use asyrgs_sparse::CsrMatrix;
 //!
 //! let a = CsrMatrix::from_dense(3, 3, &[4.0, -1.0, 0.0, -1.0, 4.0, -1.0, 0.0, -1.0, 4.0]);
 //! let b = vec![1.0, 2.0, 3.0];
-//! let opts = RgsOptions::default();
+//! let opts = AsyRgsOptions { threads: 1, ..Default::default() }; // sequential RGS
+//! let pool = asyrgs_parallel::WorkerPool::new(1); // one thread spawns nothing
 //!
 //! let mut ws = SolveWorkspace::new(); // allocation-free until first use
 //! let mut x1 = vec![0.0; 3];
-//! rgs_solve_in(&mut ws, &a, &b, &mut x1, None, &opts).unwrap();
+//! asyrgs_solve_in(&pool, &mut ws, &a, &b, &mut x1, None, &opts).unwrap();
 //!
 //! // Second solve through the same workspace: zero hot-path allocation,
 //! // bitwise the same answer as a fresh workspace would give.
 //! let mut x2 = vec![0.0; 3];
-//! rgs_solve_in(&mut ws, &a, &b, &mut x2, None, &opts).unwrap();
+//! asyrgs_solve_in(&pool, &mut ws, &a, &b, &mut x2, None, &opts).unwrap();
 //! assert_eq!(x1, x2);
 //! ```
 
@@ -53,7 +54,8 @@ pub struct SolveWorkspace {
     pub diag: Vec<f64>,
     /// The inverted diagonal.
     pub dinv: Vec<f64>,
-    /// Quiescent-iterate snapshot (asynchronous solvers).
+    /// Quiescent-iterate snapshot (asynchronous solvers); the iterate
+    /// itself of a one-thread AsyRGS solve.
     pub snap: Vec<f64>,
     /// Residual scratch (doubles as the A-norm matvec scratch).
     pub resid: Vec<f64>,
@@ -74,10 +76,10 @@ pub struct SolveWorkspace {
     pub basis: Vec<Vec<f64>>,
     /// Preconditioned basis scratch (flexible GMRES `Z = M^{-1} V`).
     pub flex_basis: Vec<Vec<f64>>,
-    /// Per-RHS coefficient scratch for block solves.
+    /// Per-RHS coefficient scratch for one-thread block solves.
     pub gammas: Vec<f64>,
-    /// Direction-draw batch of sequential RGS on matrices that
-    /// [`prefetch_pays`](asyrgs_sparse::RowAccess::prefetch_pays).
+    /// Direction-draw batch of one-thread AsyRGS (sequential RGS), single
+    /// and multi-RHS.
     pub draws: Vec<usize>,
     /// The shared atomic iterate of the asynchronous solvers.
     pub shared: SharedVec,

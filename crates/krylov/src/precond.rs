@@ -15,7 +15,6 @@
 use asyrgs_core::asyrgs::{asyrgs_solve_in, AsyRgsOptions};
 use asyrgs_core::driver::{ensure_beta, ensure_threads, inverse_diag_into, Recording, Termination};
 use asyrgs_core::error::SolveError;
-use asyrgs_core::rgs::{rgs_solve_in, RgsOptions};
 use asyrgs_core::workspace::SolveWorkspace;
 use asyrgs_parallel::WorkerPool;
 use asyrgs_sparse::RowAccess;
@@ -57,7 +56,8 @@ pub enum PrecondSpec {
     Identity,
     /// Diagonal scaling (`z = D^{-1} r`).
     Jacobi,
-    /// `inner_sweeps` of sequential RGS per application (variable).
+    /// `inner_sweeps` of sequential RGS per application (variable): the
+    /// AsyRGS sweeps at one thread, whatever thread count is configured.
     Rgs {
         /// Inner sweeps per application.
         inner_sweeps: usize,
@@ -72,8 +72,10 @@ pub enum PrecondSpec {
 
 /// The preconditioner a [`PrecondSpec`] names, over the operator `a`.
 ///
-/// The RGS/AsyRGS specs run `inner_sweeps` sweeps of [`rgs_solve_in`] or
-/// [`asyrgs_solve_in`] on `a z = r`. [`apply`](Preconditioner::apply)
+/// The RGS/AsyRGS specs run `inner_sweeps` sweeps of [`asyrgs_solve_in`]
+/// on `a z = r`, RGS at one thread and AsyRGS at `threads`; one thread
+/// walks on the caller's thread and never touches the pool.
+/// [`apply`](Preconditioner::apply)
 /// starts from `z = 0` on a fresh direction substream each call
 /// (application `k` uses seed `seed + k * 0x9E3779B9`).
 /// [`apply_fixed`](Preconditioner::apply_fixed) pins the first substream
@@ -83,8 +85,9 @@ pub enum PrecondSpec {
 /// `a`; for a nonsymmetric system pass its symmetric part
 /// (`asyrgs::session::symmetrized`).
 ///
-/// `pool` runs the AsyRGS sweeps. `scratch` holds `D^{-1}` and the inner
-/// solves' buffers, and belongs to this preconditioner while it lives.
+/// `pool` runs the AsyRGS sweeps on two or more threads. `scratch` holds
+/// `D^{-1}` and the inner solves' buffers, and belongs to this
+/// preconditioner while it lives.
 pub struct SpecPrecond<'a, O> {
     a: &'a O,
     spec: PrecondSpec,
@@ -154,11 +157,11 @@ impl<'a, O: RowAccess + Sync> SpecPrecond<'a, O> {
         // solves rewrite `D^{-1}` with the values it already holds and
         // overwrite every other buffer before reading it.
         let mut ws = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let (inner_sweeps, parallel) = match self.spec {
+        let (inner_sweeps, threads) = match self.spec {
             PrecondSpec::Identity => return z.copy_from_slice(r),
             PrecondSpec::Jacobi => return jacobi(&ws.dinv, r, z),
-            PrecondSpec::Rgs { inner_sweeps } => (inner_sweeps, false),
-            PrecondSpec::AsyRgs { inner_sweeps } => (inner_sweeps, true),
+            PrecondSpec::Rgs { inner_sweeps } => (inner_sweeps, 1),
+            PrecondSpec::AsyRgs { inner_sweeps } => (inner_sweeps, self.threads),
         };
         let app = if fixed {
             jacobi(&ws.dinv, r, z);
@@ -168,27 +171,16 @@ impl<'a, O: RowAccess + Sync> SpecPrecond<'a, O> {
             self.applications.fetch_add(1, Ordering::Relaxed)
         };
         let seed = self.seed.wrapping_add(app.wrapping_mul(0x9E37_79B9));
-        let done = if parallel {
-            let opts = AsyRgsOptions {
-                beta: self.beta,
-                threads: self.threads,
-                seed,
-                term: Termination::sweeps(inner_sweeps),
-                record: Recording::end_only(),
-                ..Default::default()
-            };
-            asyrgs_solve_in(self.pool, &mut ws, self.a, r, z, None, &opts)
-        } else {
-            let opts = RgsOptions {
-                beta: self.beta,
-                seed,
-                term: Termination::sweeps(inner_sweeps),
-                record: Recording::end_only(),
-                ..Default::default()
-            };
-            rgs_solve_in(&mut ws, self.a, r, z, None, &opts)
+        let opts = AsyRgsOptions {
+            beta: self.beta,
+            threads,
+            seed,
+            term: Termination::sweeps(inner_sweeps),
+            record: Recording::end_only(),
+            ..Default::default()
         };
-        done.unwrap_or_else(|e| panic!("{e}"));
+        asyrgs_solve_in(self.pool, &mut ws, self.a, r, z, None, &opts)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

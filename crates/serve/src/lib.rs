@@ -35,8 +35,8 @@
 //! * [`ScheduledSession`] — the migration path from direct
 //!   `SolveSession` use: same `solve(a, b, x)` shape, every call routed
 //!   through the queue;
-//! * the **matrix registry** ([`MatrixFingerprint`], [`MatrixArtifacts`],
-//!   [`MatrixUpdate`]) — admission content-addresses every submitted CSR,
+//! * the **matrix registry** ([`MatrixFingerprint`], [`MatrixArtifacts`])
+//!   — admission content-addresses every submitted CSR,
 //!   dedups bitwise-identical matrices across tenants onto one canonical
 //!   `Arc` (which is what lets job coalescing merge same-matrix/same-config
 //!   jobs *across* tenants), keeps those matrices and their lazily resolved
@@ -105,5 +105,5 @@ mod registry;
 mod scheduler;
 
 pub use job::{JobHandle, JobOutcome, JobStats, SolveJob, TenantId};
-pub use registry::{MatrixArtifacts, MatrixFingerprint, MatrixUpdate, RegistryStats, UpdateError};
+pub use registry::{MatrixArtifacts, MatrixFingerprint, RegistryStats};
 pub use scheduler::{ScheduledSession, Scheduler, SchedulerConfig, SchedulerStats, SubmitError};

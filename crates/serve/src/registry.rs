@@ -29,7 +29,7 @@
 
 use crate::job::TenantId;
 use asyrgs::policy::PolicyDecision;
-use asyrgs_sparse::{CooBuilder, CsrMatrix, RowAccess};
+use asyrgs_sparse::CsrMatrix;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -152,68 +152,6 @@ impl MatrixArtifacts {
     }
 }
 
-/// An in-place patch of a registered operator. Applying one produces a
-/// *new* canonical matrix (and fingerprint) built from the cached entry —
-/// copy-on-write, so solves still holding the old `Arc` are unaffected —
-/// while warm-start state carries over to the patched entry.
-#[derive(Debug, Clone)]
-pub enum MatrixUpdate {
-    /// `A + diag(delta)`: shift the diagonal. Requires a square operator
-    /// whose sparsity pattern stores every diagonal entry.
-    DiagonalShift {
-        /// Per-row shift, length `n`.
-        delta: Vec<f64>,
-    },
-    /// `alpha * A`: scale every stored value.
-    ScaleValues {
-        /// The scale factor.
-        alpha: f64,
-    },
-    /// `A + u vᵀ` for sparse `u`, `v` given as `(index, value)` lists.
-    /// Fill-in is merged through a COO rebuild.
-    LowRank {
-        /// Sparse left factor: `(row, value)` pairs.
-        u: Vec<(usize, f64)>,
-        /// Sparse right factor: `(col, value)` pairs.
-        v: Vec<(usize, f64)>,
-    },
-}
-
-/// Why a [`MatrixUpdate`] was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum UpdateError {
-    /// The fingerprint is not (or no longer) registered.
-    UnknownFingerprint,
-    /// The update's dimensions do not match the operator.
-    Shape {
-        /// What was wrong.
-        detail: String,
-    },
-    /// A diagonal shift touched a row whose diagonal entry is not stored
-    /// in the sparsity pattern.
-    PatternMissingDiagonal {
-        /// The offending row.
-        row: usize,
-    },
-    /// The update would introduce a non-finite value.
-    NonFinite,
-}
-
-impl std::fmt::Display for UpdateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UpdateError::UnknownFingerprint => write!(f, "fingerprint not registered"),
-            UpdateError::Shape { detail } => write!(f, "shape mismatch: {detail}"),
-            UpdateError::PatternMissingDiagonal { row } => {
-                write!(f, "row {row} stores no diagonal entry to shift")
-            }
-            UpdateError::NonFinite => write!(f, "update introduces a non-finite value"),
-        }
-    }
-}
-
-impl std::error::Error for UpdateError {}
-
 /// Registry counters, all monotone except `entries`/`bytes` (current
 /// occupancy). Read through `Scheduler::registry_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -229,8 +167,6 @@ pub struct RegistryStats {
     pub collisions: u64,
     /// Jobs whose initial iterate was seeded from a stored solution.
     pub warm_starts: u64,
-    /// Matrix updates applied (entries re-keyed under a new fingerprint).
-    pub updates: u64,
     /// Solver-policy decisions resolved fresh through
     /// `asyrgs::policy::decide_for` (first `auto` job or preview against a
     /// matrix), probe or not: a decision the Gershgorin bound certified
@@ -284,7 +220,6 @@ pub(crate) struct MatrixRegistry {
     evictions: u64,
     collisions: u64,
     warm_starts: u64,
-    updates: u64,
     policy_probes: u64,
     policy_hits: u64,
 }
@@ -310,7 +245,6 @@ impl MatrixRegistry {
             evictions: 0,
             collisions: 0,
             warm_starts: 0,
-            updates: 0,
             policy_probes: 0,
             policy_hits: 0,
         }
@@ -506,42 +440,6 @@ impl MatrixRegistry {
         self.entries.contains_key(&fp)
     }
 
-    /// Apply an update to a registered operator: build the patched matrix
-    /// copy-on-write, register it under its new fingerprint (warm-start
-    /// solutions carried over), and return the new fingerprint. The old
-    /// entry stays registered until LRU eviction reclaims it, so in-flight
-    /// solves against the old `Arc` finish untouched.
-    pub(crate) fn apply_update(
-        &mut self,
-        fp: MatrixFingerprint,
-        update: &MatrixUpdate,
-    ) -> Result<MatrixFingerprint, UpdateError> {
-        let entry = self
-            .entries
-            .get(&fp)
-            .ok_or(UpdateError::UnknownFingerprint)?;
-        let patched = patch_matrix(&entry.artifacts.a, update)?;
-        let new_fp = MatrixFingerprint::of(&patched);
-        self.updates += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let warm = self.entries[&fp].warm.clone();
-        if let Some(existing) = self.entries.get_mut(&new_fp) {
-            // Patch landed on an already-registered operator: just merge
-            // the warm-start state and refresh recency.
-            for (tenant, x) in warm {
-                let new_bytes = x.len() * 8;
-                let old = existing.warm.insert(tenant, x).map_or(0, |v| v.len() * 8);
-                existing.warm_bytes = existing.warm_bytes + new_bytes - old;
-                self.bytes = self.bytes + new_bytes - old;
-            }
-            existing.last_touch = tick;
-            return Ok(new_fp);
-        }
-        self.insert(new_fp, Arc::new(patched), warm, 0, tick);
-        Ok(new_fp)
-    }
-
     pub(crate) fn stats(&self) -> RegistryStats {
         RegistryStats {
             hits: self.hits,
@@ -549,101 +447,10 @@ impl MatrixRegistry {
             evictions: self.evictions,
             collisions: self.collisions,
             warm_starts: self.warm_starts,
-            updates: self.updates,
             policy_probes: self.policy_probes,
             policy_hits: self.policy_hits,
             entries: self.entries.len(),
             bytes: self.bytes,
-        }
-    }
-}
-
-/// Build the patched matrix for a [`MatrixUpdate`] without mutating the
-/// source (which in-flight solves may still hold).
-fn patch_matrix(a: &CsrMatrix, update: &MatrixUpdate) -> Result<CsrMatrix, UpdateError> {
-    match update {
-        MatrixUpdate::DiagonalShift { delta } => {
-            if !a.is_square() {
-                return Err(UpdateError::Shape {
-                    detail: format!("diagonal shift on {}x{} operator", a.n_rows(), a.n_cols()),
-                });
-            }
-            if delta.len() != a.n_rows() {
-                return Err(UpdateError::Shape {
-                    detail: format!(
-                        "delta has length {}, operator has {} rows",
-                        delta.len(),
-                        a.n_rows()
-                    ),
-                });
-            }
-            if delta.iter().any(|v| !v.is_finite()) {
-                return Err(UpdateError::NonFinite);
-            }
-            let mut patched = a.clone();
-            let row_ptr = patched.row_ptr().to_vec();
-            let col_idx = patched.col_idx().to_vec();
-            for i in 0..row_ptr.len() - 1 {
-                if delta[i] == 0.0 {
-                    continue;
-                }
-                let lo = row_ptr[i];
-                let hi = row_ptr[i + 1];
-                let pos = col_idx[lo..hi]
-                    .iter()
-                    .position(|&c| c == i)
-                    .ok_or(UpdateError::PatternMissingDiagonal { row: i })?;
-                patched.values_mut()[lo + pos] += delta[i];
-            }
-            if patched.values().iter().any(|v| !v.is_finite()) {
-                return Err(UpdateError::NonFinite);
-            }
-            Ok(patched)
-        }
-        MatrixUpdate::ScaleValues { alpha } => {
-            if !alpha.is_finite() {
-                return Err(UpdateError::NonFinite);
-            }
-            let mut patched = a.clone();
-            for v in patched.values_mut() {
-                *v *= alpha;
-            }
-            if patched.values().iter().any(|v| !v.is_finite()) {
-                return Err(UpdateError::NonFinite);
-            }
-            Ok(patched)
-        }
-        MatrixUpdate::LowRank { u, v } => {
-            if let Some(&(i, _)) = u.iter().find(|&&(i, _)| i >= a.n_rows()) {
-                return Err(UpdateError::Shape {
-                    detail: format!("u index {} out of range for {} rows", i, a.n_rows()),
-                });
-            }
-            if let Some(&(j, _)) = v.iter().find(|&&(j, _)| j >= a.n_cols()) {
-                return Err(UpdateError::Shape {
-                    detail: format!("v index {} out of range for {} cols", j, a.n_cols()),
-                });
-            }
-            if u.iter().chain(v.iter()).any(|(_, w)| !w.is_finite()) {
-                return Err(UpdateError::NonFinite);
-            }
-            let mut coo =
-                CooBuilder::with_capacity(a.n_rows(), a.n_cols(), a.nnz() + u.len() * v.len());
-            for i in 0..a.n_rows() {
-                a.visit_row(i, |j, val| {
-                    coo.push(i, j, val).expect("indices from a valid CSR");
-                });
-            }
-            for &(i, ui) in u {
-                for &(j, vj) in v {
-                    coo.push(i, j, ui * vj).expect("indices validated above");
-                }
-            }
-            let patched = coo.to_csr();
-            if patched.values().iter().any(|v| !v.is_finite()) {
-                return Err(UpdateError::NonFinite);
-            }
-            Ok(patched)
         }
     }
 }
@@ -825,118 +632,5 @@ mod tests {
         ));
         assert!(reg.take_warm_start(fp, &spd, t).is_some());
         assert_eq!(reg.stats().warm_starts, 1);
-    }
-
-    #[test]
-    fn diagonal_shift_patches_in_place_and_rekeys() {
-        let mut reg = MatrixRegistry::new(usize::MAX);
-        let a = arc(workloads::diag_dominant(16, 4, 2.0, 11));
-        let (fp, _) = admit(&mut reg, &a);
-        let t = TenantId(2);
-        reg.record_solution(fp, t, &[0.25; 16]);
-        let delta = vec![0.5; 16];
-        let new_fp = reg
-            .apply_update(
-                fp,
-                &MatrixUpdate::DiagonalShift {
-                    delta: delta.clone(),
-                },
-            )
-            .expect("valid shift");
-        assert_ne!(new_fp, fp);
-        let art = reg.artifacts(new_fp).expect("patched entry registered");
-        let old_diag = a.diag();
-        let new_diag = art.a.diag();
-        for i in 0..16 {
-            assert_eq!(new_diag[i], old_diag[i] + delta[i]);
-        }
-        // Pattern unchanged; warm state carried over.
-        assert_eq!(art.a.row_ptr(), a.row_ptr());
-        assert_eq!(art.a.col_idx(), a.col_idx());
-        assert!(reg.take_warm_start(new_fp, &art.a, t).is_some());
-        // Source Arc untouched (copy-on-write).
-        assert_eq!(a.diag(), old_diag);
-    }
-
-    #[test]
-    fn scale_and_low_rank_updates_match_dense_arithmetic() {
-        let mut reg = MatrixRegistry::new(usize::MAX);
-        let a = arc(workloads::diag_dominant(8, 3, 2.0, 5));
-        let (fp, _) = admit(&mut reg, &a);
-        let scaled_fp = reg
-            .apply_update(fp, &MatrixUpdate::ScaleValues { alpha: 2.0 })
-            .unwrap();
-        let scaled = reg.artifacts(scaled_fp).unwrap().a;
-        for (s, v) in scaled.values().iter().zip(a.values()) {
-            assert_eq!(*s, 2.0 * v);
-        }
-
-        let u = vec![(1usize, 3.0), (4, -1.0)];
-        let v = vec![(0usize, 2.0), (6, 0.5)];
-        let lr_fp = reg
-            .apply_update(
-                fp,
-                &MatrixUpdate::LowRank {
-                    u: u.clone(),
-                    v: v.clone(),
-                },
-            )
-            .unwrap();
-        let patched = reg.artifacts(lr_fp).unwrap().a;
-        // Verify via matvec against e_j columns: patched = A + u v^T.
-        for j in 0..8 {
-            let mut e = vec![0.0; 8];
-            e[j] = 1.0;
-            let mut base = a.matvec(&e);
-            let got = patched.matvec(&e);
-            let vj = v.iter().find(|&&(c, _)| c == j).map_or(0.0, |&(_, w)| w);
-            for (i, b) in base.iter_mut().enumerate() {
-                let ui = u.iter().find(|&&(r, _)| r == i).map_or(0.0, |&(_, w)| w);
-                *b += ui * vj;
-            }
-            for i in 0..8 {
-                assert!(
-                    (got[i] - base[i]).abs() <= 1e-12 * base[i].abs().max(1.0),
-                    "low-rank patch mismatch at ({i},{j}): {} vs {}",
-                    got[i],
-                    base[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn update_rejections_are_typed() {
-        let mut reg = MatrixRegistry::new(usize::MAX);
-        let a = arc(workloads::laplace2d(3, 3));
-        let (fp, _) = admit(&mut reg, &a);
-        let bogus = MatrixFingerprint(0xdead_beef);
-        assert_eq!(
-            reg.apply_update(bogus, &MatrixUpdate::ScaleValues { alpha: 1.0 }),
-            Err(UpdateError::UnknownFingerprint)
-        );
-        assert!(matches!(
-            reg.apply_update(
-                fp,
-                &MatrixUpdate::DiagonalShift {
-                    delta: vec![1.0; 2]
-                }
-            ),
-            Err(UpdateError::Shape { .. })
-        ));
-        assert_eq!(
-            reg.apply_update(fp, &MatrixUpdate::ScaleValues { alpha: f64::NAN }),
-            Err(UpdateError::NonFinite)
-        );
-        assert!(matches!(
-            reg.apply_update(
-                fp,
-                &MatrixUpdate::LowRank {
-                    u: vec![(99, 1.0)],
-                    v: vec![(0, 1.0)]
-                }
-            ),
-            Err(UpdateError::Shape { .. })
-        ));
     }
 }

@@ -43,9 +43,7 @@
 //!    [`SolveError`] with the caller's buffer untouched.
 
 use crate::job::{JobHandle, JobOutcome, JobShared, JobStats, SolveJob, TenantId};
-use crate::registry::{
-    MatrixArtifacts, MatrixFingerprint, MatrixRegistry, MatrixUpdate, RegistryStats, UpdateError,
-};
+use crate::registry::{MatrixArtifacts, MatrixFingerprint, MatrixRegistry, RegistryStats};
 use asyrgs::policy::PolicyDecision;
 use asyrgs::session::SolverBuilder;
 use asyrgs_core::error::SolveError;
@@ -794,25 +792,6 @@ impl Scheduler {
         }
         let decision = Arc::new(asyrgs::policy::decide_for(a)?);
         Ok(self.inner.registry().store_policy(fp, a, decision))
-    }
-
-    /// Patch a registered operator in place of a fresh registration: the
-    /// cached entry is rebuilt copy-on-write under the update (in-flight
-    /// solves against the old `Arc` are unaffected), warm-start solutions
-    /// carry over, and the new fingerprint is returned — submit follow-up jobs against a matrix
-    /// with that content to hit the patched entry. The old entry remains
-    /// until LRU eviction reclaims it.
-    ///
-    /// # Errors
-    /// [`UpdateError`] when the fingerprint is unknown, the update's
-    /// shape does not match, the pattern cannot absorb a diagonal shift,
-    /// or the patch would introduce non-finite values.
-    pub fn apply_matrix_update(
-        &self,
-        fp: MatrixFingerprint,
-        update: &MatrixUpdate,
-    ) -> Result<MatrixFingerprint, UpdateError> {
-        self.inner.registry().apply_update(fp, update)
     }
 
     /// A queue-routed counterpart of

@@ -59,11 +59,13 @@ fn main() {
     println!("\nsolving {n_labels} systems together, {sweeps} sweeps, target = low accuracy\n");
 
     let mut x_rgs = RowMajorMat::zeros(n, n_labels);
-    let rgs = try_rgs_solve_block(
+    let rgs = try_asyrgs_solve_block(
         g,
         &b,
         &mut x_rgs,
-        &RgsOptions {
+        &AsyRgsOptions {
+            threads: 1,
+            epoch_sweeps: Some(1),
             term: Termination::sweeps(sweeps),
             ..Default::default()
         },

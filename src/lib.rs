@@ -101,7 +101,7 @@ pub mod prelude {
         try_partitioned_solve, PartitionedOptions, PartitionedReport,
     };
     pub use asyrgs_core::report::{RecoveryAttempt, SolveReport, SweepRecord};
-    pub use asyrgs_core::rgs::{try_rgs_solve, try_rgs_solve_block, RgsOptions};
+    pub use asyrgs_core::rgs::{try_rgs_solve, RgsOptions};
     pub use asyrgs_core::theory;
     pub use asyrgs_core::workspace::SolveWorkspace;
     pub use asyrgs_krylov::{

@@ -66,7 +66,7 @@ use asyrgs_core::jacobi::{async_jacobi_solve_in, jacobi_solve_in, JacobiOptions}
 use asyrgs_core::lsq::{async_rcd_solve_in, rcd_solve_in, LsqOperator, LsqSolveOptions};
 use asyrgs_core::partitioned::{partitioned_solve_in, PartitionedOptions};
 use asyrgs_core::report::{RecoveryAttempt, SolveReport};
-use asyrgs_core::rgs::{rgs_solve_block_in, rgs_solve_in, RgsOptions, RowSampling};
+use asyrgs_core::rgs::RowSampling;
 use asyrgs_core::workspace::{resize_scratch_mat, SolveWorkspace};
 use asyrgs_krylov::precond::SpecPrecond;
 use asyrgs_krylov::{
@@ -86,7 +86,9 @@ pub use asyrgs_krylov::precond::PrecondSpec;
 #[non_exhaustive]
 pub enum SolverFamily {
     /// Sequential Randomized Gauss-Seidel (the paper's synchronous
-    /// baseline, Section 3).
+    /// baseline, Section 3): the AsyRGS engine on one thread, synchronized
+    /// every sweep, with no fault plan. A name for that configuration; it
+    /// has no solve loop of its own.
     Rgs,
     /// Asynchronous Randomized Gauss-Seidel (the paper's AsyRGS,
     /// Section 4).
@@ -637,19 +639,11 @@ impl SolveSession {
         }
     }
 
-    fn rgs_options(&self) -> RgsOptions {
-        RgsOptions {
-            beta: self.config.beta,
-            seed: self.config.seed,
-            sampling: self.config.sampling,
-            term: self.config.term.clone(),
-            record: self.config.record,
-            health: self.effective_health(),
-        }
-    }
-
+    /// The engine options of the two Gauss-Seidel families. RGS is AsyRGS
+    /// on one thread, synchronized every sweep (so it records and stops
+    /// per sweep) and never fault-injected.
     fn asyrgs_options(&self) -> AsyRgsOptions {
-        AsyRgsOptions {
+        let opts = AsyRgsOptions {
             beta: self.config.beta,
             threads: self.config.threads,
             write_mode: self.config.write_mode,
@@ -661,6 +655,15 @@ impl SolveSession {
             record: self.config.record,
             health: self.effective_health(),
             fault_plan: self.config.fault_plan.clone(),
+        };
+        if self.config.family != SolverFamily::Rgs {
+            return opts;
+        }
+        AsyRgsOptions {
+            threads: 1,
+            epoch_sweeps: Some(1),
+            fault_plan: None,
+            ..opts
         }
     }
 
@@ -976,11 +979,7 @@ impl SolveSession {
             ensure_finite_matrix(solver, a)?;
         }
         match self.config.family {
-            SolverFamily::Rgs => {
-                let opts = self.rgs_options();
-                rgs_solve_in(&mut self.ws, a, b, x, x_star, &opts)
-            }
-            SolverFamily::AsyRgs => {
+            SolverFamily::Rgs | SolverFamily::AsyRgs => {
                 let opts = self.asyrgs_options();
                 asyrgs_solve_in(&self.pool, &mut self.ws, a, b, x, x_star, &opts)
             }
@@ -1148,17 +1147,8 @@ impl SolveSession {
             blk_x.set_col(t, x);
         }
 
-        let result = match self.config.family {
-            SolverFamily::Rgs => {
-                let opts = self.rgs_options();
-                rgs_solve_block_in(&mut self.ws, a, &blk_b, &mut blk_x, &opts)
-            }
-            SolverFamily::AsyRgs => {
-                let opts = self.asyrgs_options();
-                asyrgs_solve_block_in(&self.pool, &mut self.ws, a, &blk_b, &mut blk_x, &opts)
-            }
-            _ => unreachable!("solve_many_block is only called for the RGS families"),
-        };
+        let opts = self.asyrgs_options();
+        let result = asyrgs_solve_block_in(&self.pool, &mut self.ws, a, &blk_b, &mut blk_x, &opts);
 
         // Return the blocks to the workspace whatever happened; on error
         // the caller's vectors were never written.
@@ -1587,7 +1577,7 @@ mod tests {
     #[test]
     fn solve_many_matches_block_solver_bitwise() {
         // The batched path must be the block solver, not a loop: compare
-        // against try_rgs_solve_block on the packed matrices.
+        // against the one-thread block solve on the packed matrices.
         let (a, b, _) = problem(6);
         let n = a.n_rows();
         let b2 = vec![1.0; n];
@@ -1605,11 +1595,13 @@ mod tests {
         blk_b.set_col(0, &b);
         blk_b.set_col(1, &b2);
         let mut blk_x = RowMajorMat::zeros(n, 2);
-        asyrgs_core::rgs::try_rgs_solve_block(
+        asyrgs_core::asyrgs::try_asyrgs_solve_block(
             &a,
             &blk_b,
             &mut blk_x,
-            &RgsOptions {
+            &AsyRgsOptions {
+                threads: 1,
+                epoch_sweeps: Some(1),
                 term: Termination::sweeps(6),
                 ..Default::default()
             },

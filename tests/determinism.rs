@@ -268,7 +268,7 @@ fn prefetch_walk_is_bitwise_the_plain_walk() {
     // at the same points as RGS; 3 sweeps never reach it.
     let term = Termination::sweeps(3).with_target(1e-30);
 
-    fn rgs<O: RowAccess>(
+    fn rgs<O: RowAccess + Sync>(
         a: &O,
         b: &[f64],
         xs: &[f64],

@@ -228,7 +228,7 @@ fn every_solver_rejects_mismatched_shapes_with_typed_errors() {
 
     let mut x = vec![0.0; 10];
     let err = try_rgs_solve(&a, &bad_b, &mut x, None, &RgsOptions::default()).unwrap_err();
-    check(err, "rgs_solve: right-hand side b has length 7", &x);
+    check(err, "asyrgs_solve: right-hand side b has length 7", &x);
 
     let err = try_asyrgs_solve(&a, &b, &mut bad_x, None, &AsyRgsOptions::default()).unwrap_err();
     check(err, "asyrgs_solve: solution vector x has length 3", &bad_x);
@@ -261,16 +261,19 @@ fn every_solver_rejects_mismatched_shapes_with_typed_errors() {
     check(err, "fcg_solve: right-hand side b has length 7", &x);
 
     let mut x_blk = RowMajorMat::zeros(10, k);
-    let err = try_rgs_solve_block(
+    let err = try_asyrgs_solve_block(
         &a,
         &RowMajorMat::zeros(8, k),
         &mut x_blk,
-        &RgsOptions::default(),
+        &AsyRgsOptions {
+            threads: 1,
+            ..Default::default()
+        },
     )
     .unwrap_err();
     check(
         err,
-        "rgs_solve_block: right-hand-side block B has 8 rows",
+        "asyrgs_solve_block: right-hand-side block B has 8 rows",
         x_blk.as_slice(),
     );
 

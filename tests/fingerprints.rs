@@ -8,7 +8,11 @@
 //! (with a standalone `SpecPrecond` for the preconditioned paths), and
 //! through a `SolverBuilder` session configured with the same knobs (the
 //! route the serve scheduler and the benchmark run). Both must equal the
-//! committed table.
+//! committed table. The RGS rows run AsyRGS at one thread (`try_rgs_solve`
+//! forwards to it; `rgs_block` calls `try_asyrgs_solve_block` at one
+//! thread, one sweep per epoch), so every `rgs*` and `asyrgs_*t1*` hash
+//! pins the one-thread walk; the shared walk of the pool workers has its
+//! own bitwise unit test in `asyrgs-core`.
 //!
 //! Every matrix here has at most 150 unknowns, far below
 //! `PREFETCH_MIN_BYTES`, so these pin the plain (no prefetch) side of the
@@ -264,7 +268,13 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x_blk = RowMajorMat::zeros(n, k);
-        try_rgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
+        let one_thread = AsyRgsOptions {
+            threads: 1,
+            epoch_sweeps: Some(1),
+            term: opts.term.clone(),
+            ..Default::default()
+        };
+        try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &one_thread).unwrap();
         let y_blk = solve_many_packed(&mut rgs_session(&opts), &a, &b_blk);
         out.push(("rgs_block", hash(x_blk.as_slice()), hash(y_blk.as_slice())));
     }

@@ -259,11 +259,13 @@ fn pooled_block_solve_single_thread_bitwise_matches_sequential() {
         b_blk.set_col(t, &col);
     }
     let mut x_seq = RowMajorMat::zeros(n, k);
-    try_rgs_solve_block(
+    try_asyrgs_solve_block(
         &a,
         &b_blk,
         &mut x_seq,
-        &RgsOptions {
+        &AsyRgsOptions {
+            threads: 1,
+            epoch_sweeps: Some(1),
             term: Termination::sweeps(6),
             record: Recording::end_only(),
             ..Default::default()

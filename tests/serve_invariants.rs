@@ -2,17 +2,18 @@
 //!
 //! Each seed drives a real `Scheduler` (two runners, a zero registry
 //! budget, 1 ms retry backoff) through 24 jobs drawn from a fixed mix:
-//! coalescable RGS, CG, policy-routed `SolveJob::auto`, CG cancelled right
-//! after submit, CG with a zero deadline, and a health-armed AsyRGS job
-//! whose fault plan poisons an update. Even seeds submit to a paused
+//! coalescable RGS, coalescable one-thread AsyRGS, CG, policy-routed
+//! `SolveJob::auto`, CG cancelled right after submit, CG with a zero
+//! deadline, and a health-armed AsyRGS job whose fault plan poisons an
+//! update. Even seeds submit to a paused
 //! scheduler; every fourth seed drops it before `resume`. After each seed
 //! the driver checks what the service promises on every path:
 //!
 //! * every handle finishes (polled with a timeout, so a lost job fails
 //!   the test instead of hanging it);
 //! * a failed job hands back its `x0` bitwise;
-//! * a successful RGS job is bitwise a solo session solve, whatever its
-//!   `batch_size`;
+//! * a successful RGS or one-thread AsyRGS job is bitwise a solo RGS
+//!   session solve, whatever its `batch_size`;
 //! * `completed == submitted`, and every completion is counted as exactly
 //!   one of succeeded, cancelled, deadline-exceeded or quarantined;
 //! * no registry pin outlives its job: with a zero byte budget an
@@ -41,6 +42,9 @@ enum Kind {
     /// RGS at `threads(1)` from a zero `x0` on a fresh copy of the matrix:
     /// admission dedups it onto the canonical `Arc`, so it can coalesce.
     Rgs,
+    /// AsyRGS at `threads(1)`, otherwise as [`Kind::Rgs`]: one slot runs
+    /// the paper's iteration sequentially, so it must give RGS's bits.
+    AsyRgsT1,
     Cg,
     Auto,
     /// CG whose handle is cancelled right after submit.
@@ -51,8 +55,9 @@ enum Kind {
     Poisoned,
 }
 
-const KINDS: [Kind; 6] = [
+const KINDS: [Kind; 7] = [
     Kind::Rgs,
+    Kind::AsyRgsT1,
     Kind::Cg,
     Kind::Auto,
     Kind::CancelledCg,
@@ -83,6 +88,12 @@ struct System {
 
 fn rgs_builder() -> SolverBuilder {
     SolverBuilder::new(SolverFamily::Rgs)
+        .threads(1)
+        .term(Termination::sweeps(20))
+}
+
+fn asyrgs_t1_builder() -> SolverBuilder {
+    SolverBuilder::new(SolverFamily::AsyRgs)
         .threads(1)
         .term(Termination::sweeps(20))
 }
@@ -133,6 +144,11 @@ fn job_for(kind: Kind, sys: &System, x0: Vec<f64>, seed: u64) -> SolveJob {
             Arc::new(sys.a.as_ref().clone()),
             sys.b.clone(),
         ),
+        Kind::AsyRgsT1 => SolveJob::new(
+            asyrgs_t1_builder(),
+            Arc::new(sys.a.as_ref().clone()),
+            sys.b.clone(),
+        ),
         Kind::Cg | Kind::CancelledCg => {
             SolveJob::new(cg_builder(), Arc::clone(&sys.a), sys.b.clone()).with_x0(x0)
         }
@@ -177,7 +193,7 @@ fn run_seed(seed: u64, systems: &[System]) {
         let system = rng.below(systems.len());
         let tenant = TenantId(1 + rng.below(TENANTS as usize) as u64);
         let sys = &systems[system];
-        let x0 = if kind == Kind::Rgs {
+        let x0 = if matches!(kind, Kind::Rgs | Kind::AsyRgsT1) {
             vec![0.0; sys.a.n_rows()]
         } else {
             sentinel(sys.a.n_rows(), j)
@@ -232,7 +248,7 @@ fn run_seed(seed: u64, systems: &[System]) {
         match &out.result {
             Ok(_) => {
                 assert!(!dropped, "{ctx}: ran on a scheduler dropped before resume");
-                if kind == Kind::Rgs {
+                if matches!(kind, Kind::Rgs | Kind::AsyRgsT1) {
                     assert_eq!(
                         out.x, systems[s.system].rgs_solo,
                         "{ctx}: batch_size {} is not bitwise the solo solve",
@@ -255,7 +271,7 @@ fn run_seed(seed: u64, systems: &[System]) {
             continue;
         }
         match kind {
-            Kind::Rgs | Kind::Cg | Kind::Auto => {
+            Kind::Rgs | Kind::AsyRgsT1 | Kind::Cg | Kind::Auto => {
                 assert!(out.result.is_ok(), "{ctx}: {:?}", out.result);
             }
             Kind::CancelledCg => assert!(
