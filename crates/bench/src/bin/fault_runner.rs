@@ -4,14 +4,16 @@
 //! and writes `BENCH_faults.json` (detection latency in watchdog epochs,
 //! recovery success rate, post-recovery iteration counts per cell).
 //!
-//! Two invariants are enforced at exit (the process fails loudly so CI
-//! needs no JSON post-processing):
+//! The runner gates what it measured and exits nonzero if a gate fails,
+//! so CI needs no JSON post-processing:
 //!
 //! * **zero non-finite results** — a tripped watchdog never hands back a
 //!   non-finite iterate, recovered or not;
 //! * **`Converges` cells recover** — at least 90% of cells whose
 //!   scenario/family expectation is `Converges` end in `clean` or
-//!   `recovered`.
+//!   `recovered`;
+//! * **`MayDiverge` cells end typed** — converged, recovered or a typed
+//!   watchdog trip, never an untyped error.
 //!
 //! Usage:
 //! ```text
@@ -23,10 +25,12 @@
 
 use asyrgs::prelude::{FaultPlan, FaultSpec, HealthConfig, RecoveryPolicy};
 use asyrgs::session::{SolverBuilder, SolverFamily};
+use asyrgs_bench::obj;
+use asyrgs_bench::report::{residual_status, Report};
 use asyrgs_core::driver::Termination;
 use asyrgs_core::error::SolveError;
 use asyrgs_workloads::scenarios::{all_scenarios, smoke_scenarios, Expectation, ScenarioClass};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// The async families the fault plans apply to (sequential siblings
@@ -184,12 +188,11 @@ fn run_cell(
             ),
         };
 
-    let converged = final_rel_residual.is_finite() && final_rel_residual <= sc.tol;
-    let progressed = final_rel_residual.is_finite() && final_rel_residual <= 1.0 + 1e-9;
+    let residual = residual_status(final_rel_residual, sc.tol);
     let ok = x_finite
         && match expectation {
-            Expectation::Converges => converged,
-            Expectation::Progress => progressed,
+            Expectation::Converges => residual == "converged",
+            Expectation::Progress => residual != "diverged",
             // A cell with no classical guarantee may converge, recover,
             // or end in a typed watchdog error — never a silent NaN.
             Expectation::MayDiverge => status != "error",
@@ -213,28 +216,9 @@ fn run_cell(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map(|x| x.to_string())
-        .unwrap_or_else(|| "null".to_string())
-}
-
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
-    let smoke = std::env::var("ASYRGS_BENCH_SMOKE").as_deref() == Ok("1");
+fn main() -> ExitCode {
+    let mut report = Report::from_env("BENCH_faults.json");
+    let smoke = report.smoke;
     let scenarios: Vec<_> = if smoke {
         smoke_scenarios()
     } else {
@@ -296,71 +280,70 @@ fn main() {
         );
     }
 
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"schema\": \"asyrgs-faults-v1\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"solver_threads\": {THREADS},");
-    let _ = writeln!(j, "  \"cells_total\": {},", cells.len());
-    let _ = writeln!(j, "  \"non_finite_results\": {non_finite},");
-    let _ = writeln!(j, "  \"converges_cells\": {},", converges.len());
-    let _ = writeln!(j, "  \"converges_ok_rate\": {converges_rate:.4},");
-    let _ = writeln!(j, "  \"tripped_cells\": {},", tripped.len());
-    let _ = writeln!(j, "  \"recovered_cells\": {recovered},");
-    let _ = writeln!(j, "  \"unexpected_cells\": {},", unexpected.len());
-    j.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"scenario\": \"{}\", \"family\": \"{}\", \"fault\": \"{}\", \
-             \"expectation\": \"{}\", \"status\": \"{}\", \"ok\": {}, \
-             \"detection_epoch\": {}, \"recovery_attempts\": {}, \"iterations\": {}, \
-             \"final_rel_residual\": {}, \"seconds\": {:.6e}, \"x_finite\": {}{}}}{}",
-            c.scenario,
-            c.family,
-            c.fault,
-            c.expectation,
-            c.status,
-            c.ok,
-            json_opt_u64(c.detection_epoch),
-            c.recovery_attempts,
-            c.iterations,
-            json_f64(c.final_rel_residual),
-            c.seconds,
-            c.x_finite,
-            c.error
-                .as_deref()
-                .map(|e| format!(", \"error\": \"{}\"", json_escape(e)))
-                .unwrap_or_default(),
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ]\n}\n");
-
-    std::fs::write(&out_path, &j).expect("failed to write bench output");
     eprintln!(
-        "fault_runner: wrote {out_path} ({} cells, {} tripped, {} recovered, \
-         converges ok rate {:.2}, {} non-finite)",
+        "fault_runner: {} cells, {} tripped, {} recovered, converges ok rate {:.2}, \
+         {} non-finite",
         cells.len(),
         tripped.len(),
         recovered,
         converges_rate,
         non_finite,
     );
-
-    // Hard gates — the whole point of the harness. Fail the process so
-    // the CI job needs no JSON post-processing.
-    assert_eq!(
-        non_finite, 0,
-        "invariant violated: a solve handed back a non-finite iterate"
+    report.gate("faults: cells nonempty", !cells.is_empty(), cells.len());
+    report.gate(
+        "faults: non_finite_results == 0",
+        non_finite == 0,
+        non_finite,
     );
-    assert!(
+    report.gate(
+        "faults: converges_ok_rate >= 0.9",
         converges_rate >= 0.9,
-        "recovery success rate on Converges cells fell below 90%: {converges_rate:.2}"
+        converges_rate,
     );
-    let parsed = std::fs::read_to_string(&out_path).expect("reread failed");
-    assert!(
-        parsed.matches('{').count() == parsed.matches('}').count() && parsed.contains("\"cells\""),
-        "fault bench output failed self-check"
-    );
+    // A cell with no classical guarantee may converge, recover, or end in
+    // a typed watchdog trip, never in an untyped failure.
+    for c in cells.iter().filter(|c| c.expectation == "may_diverge") {
+        let got = (c.scenario, c.family, c.fault, c.status);
+        report.gate(
+            "faults: a may_diverge cell ends typed",
+            c.status != "error",
+            got,
+        );
+    }
+
+    let unexpected = unexpected.len();
+    let (converges, tripped) = (converges.len(), tripped.len());
+    let cells: Vec<_> = cells
+        .into_iter()
+        .map(|c| {
+            obj! {
+                "scenario": c.scenario,
+                "family": c.family,
+                "fault": c.fault,
+                "expectation": c.expectation,
+                "status": c.status,
+                "ok": c.ok,
+                "detection_epoch": c.detection_epoch,
+                "recovery_attempts": c.recovery_attempts,
+                "iterations": c.iterations,
+                "final_rel_residual": c.final_rel_residual,
+                "seconds": c.seconds,
+                "x_finite": c.x_finite,
+            }
+            .with_some("error", c.error)
+        })
+        .collect();
+    report.finish(&obj! {
+        "schema": "asyrgs-faults-v1",
+        "smoke": smoke,
+        "solver_threads": THREADS,
+        "cells_total": cells.len(),
+        "non_finite_results": non_finite,
+        "converges_cells": converges,
+        "converges_ok_rate": converges_rate,
+        "tripped_cells": tripped,
+        "recovered_cells": recovered,
+        "unexpected_cells": unexpected,
+        "cells": cells,
+    })
 }

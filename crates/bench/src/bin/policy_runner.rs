@@ -8,9 +8,10 @@
 //! the best policy-selectable cell's.
 //!
 //! Self-gating: the process exits nonzero if any scenario's pick misses
-//! the best available expectation tag, or a picked cell with a converging
-//! alternative needs more than 2x the best cell's iterations. The CI
-//! schema validator re-checks both from the JSON.
+//! the best available expectation tag, fails to honour it at runtime, or
+//! needs more than 2x the best converging cell's iterations; if a probe
+//! exceeds the 600-matvec budget; or if an SPD pick rests on neither a
+//! probe nor a Gershgorin certificate below 1e3.
 //!
 //! Usage:
 //! ```text
@@ -22,38 +23,15 @@
 
 use asyrgs::policy::{decide_for, FAMILIES};
 use asyrgs::session::{PrecondSpec, SolverBuilder, SolverFamily};
+use asyrgs_bench::obj;
+use asyrgs_bench::report::{residual_status, Json, Report};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::lsq::LsqOperator;
 use asyrgs_workloads::scenarios::{
     all_scenarios, smoke_scenarios, Expectation, Scenario, ScenarioClass,
 };
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
-
-/// One per-scenario policy row.
-struct Row {
-    scenario: &'static str,
-    class: &'static str,
-    family: &'static str,
-    rule: &'static str,
-    precond: String,
-    threads: usize,
-    fallback: Vec<&'static str>,
-    kappa: Option<f64>,
-    rho_jacobi: Option<f64>,
-    dominance_margin: Option<f64>,
-    kappa_bound: Option<f64>,
-    probe_matvecs: usize,
-    expectation: &'static str,
-    best_tag: &'static str,
-    status: &'static str,
-    picked_to_tol: Option<u64>,
-    best_to_tol: Option<u64>,
-    within_2x: Option<bool>,
-    seconds: f64,
-    final_rel_residual: f64,
-    ok: bool,
-}
 
 fn rank(e: Expectation) -> u8 {
     match e {
@@ -112,7 +90,9 @@ fn precond_name(precond: PrecondSpec) -> String {
     }
 }
 
-fn evaluate(sc: &Scenario) -> Row {
+/// Decide and run one scenario, check its gates, and return its row with
+/// whether the row is `ok`.
+fn evaluate(report: &mut Report, sc: &Scenario) -> (Json, bool) {
     let built = sc.build();
     let t = Instant::now();
     let d = decide_for(&built.a)
@@ -134,13 +114,7 @@ fn evaluate(sc: &Scenario) -> Row {
         })
         .min();
     let seconds = t.elapsed().as_secs_f64();
-    let status = if final_rel_residual.is_finite() && final_rel_residual <= sc.tol {
-        "converged"
-    } else if final_rel_residual.is_finite() && final_rel_residual <= 1.0 + 1e-9 {
-        "completed"
-    } else {
-        "diverged"
-    };
+    let status = residual_status(final_rel_residual, sc.tol);
     let within_2x = match (picked_to_tol, best_to_tol) {
         (Some(p), Some(b)) => Some(p <= 2 * b),
         _ => None,
@@ -154,51 +128,93 @@ fn evaluate(sc: &Scenario) -> Row {
         _ => false,
     };
     let ok = expectation == best_tag && tag_holds && within_2x != Some(false);
-    Row {
-        scenario: sc.name,
-        class: match sc.class {
+    let (name, probe) = (sc.name, &d.profile.spectral);
+    eprintln!(
+        "  {name:>24}: {} via {} ({} probe matvecs), to-tol {picked_to_tol:?} vs best \
+         {best_to_tol:?}{}",
+        picked.name(),
+        d.rule,
+        probe.probe_matvecs,
+        if ok { "" } else { "  << GATE VIOLATION" }
+    );
+
+    let got = (name, expectation.name(), best_tag.name(), status);
+    report.gate(
+        "policy: expectation == best_tag",
+        expectation == best_tag,
+        got,
+    );
+    if expectation == Expectation::Converges {
+        report.gate(
+            "policy: a converges pick converged, within 2x of the best cell",
+            status == "converged" && within_2x == Some(true),
+            (name, status, picked_to_tol, best_to_tol),
+        );
+    } else {
+        report.gate(
+            "policy: any other pick converged or completed",
+            matches!(status, "converged" | "completed"),
+            got,
+        );
+    }
+    report.gate("policy: row ok", ok, got);
+    report.gate(
+        "policy: probe_matvecs <= 600",
+        probe.probe_matvecs <= 600,
+        (name, probe.probe_matvecs),
+    );
+    // Every SPD pick rests on evidence: a spectral probe, or the
+    // Gershgorin certificate that made the probe unnecessary.
+    if sc.class == ScenarioClass::SquareSpd {
+        let probed = probe.kappa.is_some() && probe.probe_matvecs > 0;
+        let certified = probe.kappa.is_none()
+            && probe.probe_matvecs == 0
+            && d.profile.kappa_bound.is_some_and(|k| k < 1e3);
+        report.gate(
+            "policy: an SPD pick is probed or certified",
+            probed || certified,
+            (
+                name,
+                probe.kappa,
+                probe.probe_matvecs,
+                d.profile.kappa_bound,
+            ),
+        );
+    }
+
+    let row = obj! {
+        "scenario": name,
+        "class": match sc.class {
             ScenarioClass::SquareSpd => "square_spd",
             ScenarioClass::SquareNonsym => "square_nonsym",
             ScenarioClass::LeastSquares => "least_squares",
         },
-        family: picked.name(),
-        rule: d.rule,
-        precond: precond_name(d.precond),
-        threads: d.threads,
-        fallback: d.fallback.iter().map(|f| f.name()).collect(),
-        kappa: d.profile.spectral.kappa,
-        rho_jacobi: d.profile.spectral.rho_jacobi,
-        dominance_margin: d.profile.dominance_margin,
-        kappa_bound: d.profile.kappa_bound,
-        probe_matvecs: d.profile.spectral.probe_matvecs,
-        expectation: expectation.name(),
-        best_tag: best_tag.name(),
-        status,
-        picked_to_tol,
-        best_to_tol,
-        within_2x,
-        seconds,
-        final_rel_residual,
-        ok,
-    }
+        "family": picked.name(),
+        "rule": d.rule,
+        "precond": precond_name(d.precond),
+        "threads": d.threads,
+        "fallback": d.fallback.iter().map(|f| f.name()).collect::<Vec<_>>(),
+        "kappa": probe.kappa,
+        "rho_jacobi": probe.rho_jacobi,
+        "dominance_margin": d.profile.dominance_margin,
+        "kappa_bound": d.profile.kappa_bound,
+        "probe_matvecs": probe.probe_matvecs,
+        "expectation": expectation.name(),
+        "best_tag": best_tag.name(),
+        "status": status,
+        "picked_to_tol": picked_to_tol,
+        "best_to_tol": best_to_tol,
+        "within_2x": within_2x,
+        "seconds": seconds,
+        "final_rel_residual": final_rel_residual,
+        "ok": ok,
+    };
+    (row, ok)
 }
 
-fn json_f64_opt(v: Option<f64>) -> String {
-    v.filter(|x| x.is_finite())
-        .map(|x| format!("{x:.6e}"))
-        .unwrap_or_else(|| "null".to_string())
-}
-
-fn json_u64_opt(v: Option<u64>) -> String {
-    v.map(|x| x.to_string())
-        .unwrap_or_else(|| "null".to_string())
-}
-
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_policy.json".to_string());
-    let smoke = std::env::var("ASYRGS_BENCH_SMOKE").as_deref() == Ok("1");
+fn main() -> ExitCode {
+    let mut report = Report::from_env("BENCH_policy.json");
+    let smoke = report.smoke;
     let scenarios = if smoke {
         smoke_scenarios()
     } else {
@@ -209,85 +225,24 @@ fn main() {
         scenarios.len(),
         if smoke { " (smoke)" } else { "" }
     );
-
-    let rows: Vec<Row> = scenarios.iter().map(evaluate).collect();
-    for r in &rows {
-        eprintln!(
-            "  {:>24}: {} via {} ({} probe matvecs), to-tol {} vs best {}{}",
-            r.scenario,
-            r.family,
-            r.rule,
-            r.probe_matvecs,
-            json_u64_opt(r.picked_to_tol),
-            json_u64_opt(r.best_to_tol),
-            if r.ok { "" } else { "  << GATE VIOLATION" }
-        );
-    }
-    let unexpected = rows.iter().filter(|r| !r.ok).count();
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"schema\": \"asyrgs-policy-v1\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"unexpected_rows\": {unexpected},");
-    let _ = writeln!(j, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"scenario\": \"{}\", \"class\": \"{}\", \"family\": \"{}\", \
-             \"rule\": \"{}\", \"precond\": \"{}\", \"threads\": {}, \
-             \"fallback\": [{}], \"kappa\": {}, \"rho_jacobi\": {}, \
-             \"dominance_margin\": {}, \"kappa_bound\": {}, \"probe_matvecs\": {}, \
-             \"expectation\": \"{}\", \"best_tag\": \"{}\", \"status\": \"{}\", \
-             \"picked_to_tol\": {}, \"best_to_tol\": {}, \"within_2x\": {}, \
-             \"seconds\": {:.6e}, \"final_rel_residual\": {}, \"ok\": {}}}{}",
-            r.scenario,
-            r.class,
-            r.family,
-            r.rule,
-            r.precond,
-            r.threads,
-            r.fallback
-                .iter()
-                .map(|f| format!("\"{f}\""))
-                .collect::<Vec<_>>()
-                .join(", "),
-            json_f64_opt(r.kappa),
-            json_f64_opt(r.rho_jacobi),
-            json_f64_opt(r.dominance_margin),
-            json_f64_opt(r.kappa_bound),
-            r.probe_matvecs,
-            r.expectation,
-            r.best_tag,
-            r.status,
-            json_u64_opt(r.picked_to_tol),
-            json_u64_opt(r.best_to_tol),
-            r.within_2x
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            r.seconds,
-            json_f64_opt(Some(r.final_rel_residual)),
-            r.ok,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ]\n}\n");
-
-    std::fs::write(&out_path, &j).expect("failed to write bench output");
-    eprintln!(
-        "policy_runner: wrote {out_path} ({} rows, {unexpected} gate violations)",
-        rows.len()
+    report.gate(
+        "policy: rows nonempty",
+        !scenarios.is_empty(),
+        scenarios.len(),
     );
-
-    // Structural self-check, then the hard gate: a policy that misses the
-    // best available cell (or overshoots 2x of it) fails this process.
-    let parsed = std::fs::read_to_string(&out_path).expect("reread failed");
-    assert!(
-        parsed.matches('{').count() == parsed.matches('}').count() && parsed.contains("\"rows\""),
-        "policy bench output failed self-check"
-    );
-    assert!(
-        unexpected == 0,
-        "{unexpected} scenarios violated the policy gate (see rows with \"ok\": false)"
-    );
+    let mut unexpected = 0;
+    let rows: Vec<Json> = scenarios
+        .iter()
+        .map(|sc| {
+            let (row, ok) = evaluate(&mut report, sc);
+            unexpected += usize::from(!ok);
+            row
+        })
+        .collect();
+    report.finish(&obj! {
+        "schema": "asyrgs-policy-v1",
+        "smoke": smoke,
+        "unexpected_rows": unexpected,
+        "rows": rows,
+    })
 }

@@ -8,6 +8,12 @@
 //! not a microbenchmark (the kernel-level medians live in
 //! `BENCH_solvers.json` from `bench_runner`).
 //!
+//! The runner gates what it measured and exits nonzero if a gate fails:
+//! the corpus holds a nonsymmetric scenario, every cell meets its
+//! registered expectation, and AsyRGS right-preconditioning cuts
+//! BiCGSTAB's outer iterations against the unpreconditioned run on at
+//! least two convection–diffusion scenarios.
+//!
 //! Usage:
 //! ```text
 //! scenario_runner [OUTPUT_PATH]        (default: BENCH_scenarios.json)
@@ -18,6 +24,8 @@
 //! `ASYRGS_THREADS=N` — global pool width.
 
 use asyrgs::session::{PrecondSpec, SolverBuilder, SolverFamily};
+use asyrgs_bench::obj;
+use asyrgs_bench::report::{residual_status, Json, Report};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::error::SolveError;
 use asyrgs_core::lsq::LsqOperator;
@@ -26,27 +34,11 @@ use asyrgs_sparse::RowAccess;
 use asyrgs_workloads::scenarios::{
     all_scenarios, smoke_scenarios, Expectation, Scenario, ScenarioClass, FAMILY_NAMES,
 };
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-/// One matrix cell result.
-struct Cell {
-    scenario: &'static str,
-    family: &'static str,
-    backend: &'static str,
-    expectation: &'static str,
-    /// `converged` | `completed` | `diverged` | `rejected`.
-    status: &'static str,
-    /// Whether `status` satisfies `expectation`.
-    ok: bool,
-    seconds: f64,
-    iterations: u64,
-    /// First recorded iteration count at which the relative residual was
-    /// at or below the scenario tolerance (`null` if never).
-    iterations_to_tol: Option<u64>,
-    final_rel_residual: f64,
-    error: Option<String>,
-}
+/// Solver threads for every cell and study row.
+const THREADS: usize = 2;
 
 fn family_of(name: &str) -> SolverFamily {
     SolverFamily::from_name(name).unwrap_or_else(|| panic!("unknown family {name}"))
@@ -62,20 +54,13 @@ fn classify(result: &Result<SolveReport, SolveError>, tol: f64) -> (&'static str
         // (the recurrence collapsed), not an input rejection.
         Err(SolveError::Breakdown { .. }) => ("diverged", f64::NAN, 0),
         Err(_) => ("rejected", f64::NAN, 0),
-        Ok(rep) => {
-            let r = rep.final_rel_residual;
-            // `completed` mirrors the conformance matrix's Progress
-            // criterion exactly: finite and not above the initial
-            // relative residual (1.0 from a zero start).
-            let status = if r.is_finite() && r <= tol {
-                "converged"
-            } else if r.is_finite() && r <= 1.0 + 1e-9 {
-                "completed"
-            } else {
-                "diverged"
-            };
-            (status, r, rep.iterations)
-        }
+        // `completed` mirrors the conformance matrix's Progress criterion
+        // exactly: finite and not above the initial relative residual.
+        Ok(rep) => (
+            residual_status(rep.final_rel_residual, tol),
+            rep.final_rel_residual,
+            rep.iterations,
+        ),
     }
 }
 
@@ -97,24 +82,25 @@ fn iterations_to_tol(result: &Result<SolveReport, SolveError>, tol: f64) -> Opti
     })
 }
 
-/// Run one cell: build a session for the family and drive the given
-/// operator backend through it.
+/// Run one cell: build a session for the family, drive the given operator
+/// backend through it, gate the cell on its registered expectation, and
+/// return its record with whether it met that expectation.
 fn run_cell<O: RowAccess + Sync>(
+    report: &mut Report,
     sc: &Scenario,
     family_name: &'static str,
     backend: &'static str,
     a: &O,
     b: &[f64],
     lsq: Option<&LsqOperator>,
-    threads: usize,
-) -> Cell {
+) -> (Json, bool) {
     let family = family_of(family_name);
     // Non-finite-only watchdog: MayDiverge cells that blow up trip with
     // a typed error instead of running their whole sweep budget on NaNs.
     // (No divergence/stall heuristics here — a trajectory tracker must
     // not cut off slow-but-finite cells.)
     let mut session = SolverBuilder::new(family)
-        .threads(threads)
+        .threads(THREADS)
         .term(Termination::sweeps(sc.sweeps).with_target(sc.tol * 0.5))
         .record(Recording::every(1))
         .health(asyrgs_core::health::HealthConfig::non_finite_only())
@@ -135,19 +121,33 @@ fn run_cell<O: RowAccess + Sync>(
     };
     let seconds = t.elapsed().as_secs_f64();
     let (status, final_rel_residual, iterations) = classify(&result, sc.tol);
-    Cell {
-        scenario: sc.name,
-        family: family_name,
+    let ok = satisfies(expectation, status);
+    let got = (
+        sc.name,
+        family_name,
         backend,
-        expectation: expectation.name(),
+        expectation.name(),
         status,
-        ok: satisfies(expectation, status),
-        seconds,
-        iterations,
-        iterations_to_tol: iterations_to_tol(&result, sc.tol),
         final_rel_residual,
-        error: result.err().map(|e| e.to_string()),
-    }
+    );
+    report.gate("scenarios: a cell meets its expectation", ok, got);
+    let cell = obj! {
+        "scenario": sc.name,
+        "family": family_name,
+        "backend": backend,
+        "expectation": expectation.name(),
+        "status": status,
+        "ok": ok,
+        "seconds": seconds,
+        "iterations": iterations,
+        // The first recorded iteration count at or below the tolerance.
+        "iterations_to_tol": iterations_to_tol(&result, sc.tol),
+        "final_rel_residual": final_rel_residual,
+    };
+    (
+        cell.with_some("error", result.err().map(|e| e.to_string())),
+        ok,
+    )
 }
 
 /// One row of the nonsymmetric preconditioner study: a Krylov family on a
@@ -167,7 +167,7 @@ struct PrecondRow {
 /// inner system) and record outer iteration counts — the headline claim
 /// is that AsyRGS preconditioning cuts BiCGSTAB outer iterations on the
 /// convection–diffusion family relative to the unpreconditioned run.
-fn precond_study(scenarios: &[Scenario], threads: usize) -> Vec<PrecondRow> {
+fn precond_study(scenarios: &[Scenario]) -> Vec<PrecondRow> {
     let specs: [(&'static str, PrecondSpec); 4] = [
         ("identity", PrecondSpec::Identity),
         ("jacobi", PrecondSpec::Jacobi),
@@ -186,7 +186,7 @@ fn precond_study(scenarios: &[Scenario], threads: usize) -> Vec<PrecondRow> {
             }
             for (precond_name, spec) in specs {
                 let mut session = SolverBuilder::new(family_of(family_name))
-                    .threads(threads)
+                    .threads(THREADS)
                     .term(Termination::sweeps(sc.sweeps).with_target(sc.tol * 0.5))
                     .record(Recording::every(1))
                     .preconditioner(spec)
@@ -212,24 +212,9 @@ fn precond_study(scenarios: &[Scenario], threads: usize) -> Vec<PrecondRow> {
     rows
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_scenarios.json".to_string());
-    let smoke = std::env::var("ASYRGS_BENCH_SMOKE").as_deref() == Ok("1");
-    let threads = 2usize;
+fn main() -> ExitCode {
+    let mut report = Report::from_env("BENCH_scenarios.json");
+    let smoke = report.smoke;
     let scenarios = if smoke {
         smoke_scenarios()
     } else {
@@ -242,8 +227,8 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let mut meta_rows: Vec<String> = Vec::new();
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut meta_rows: Vec<Json> = Vec::new();
+    let (mut cells, mut unexpected) = (Vec::new(), 0);
     for sc in &scenarios {
         let built = sc.build();
         let kappa_estimate = if smoke {
@@ -251,39 +236,38 @@ fn main() {
         } else {
             sc.estimate_kappa(&built)
         };
-        meta_rows.push(format!(
-            "    {{\"name\": \"{}\", \"class\": \"{}\", \"n\": {}, \"nnz\": {}, \"seed\": {}, \
-             \"kappa_hint\": {}, \"kappa_estimate\": {}, \"tol\": {:.1e}, \"sweeps\": {}, \
-             \"description\": \"{}\"}}",
-            sc.name,
-            match sc.class {
+        meta_rows.push(obj! {
+            "name": sc.name,
+            "class": match sc.class {
                 ScenarioClass::SquareSpd => "square_spd",
                 ScenarioClass::SquareNonsym => "square_nonsym",
                 ScenarioClass::LeastSquares => "least_squares",
             },
-            sc.n,
-            built.nnz(),
-            sc.seed,
-            kappa_or_null(sc.kappa_hint),
-            kappa_or_null(kappa_estimate),
-            sc.tol,
-            sc.sweeps,
-            json_escape(sc.description),
-        ));
+            "n": sc.n,
+            "nnz": built.nnz(),
+            "seed": sc.seed,
+            "kappa_hint": sc.kappa_hint,
+            "kappa_estimate": kappa_estimate,
+            "tol": sc.tol,
+            "sweeps": sc.sweeps,
+            "description": sc.description,
+        });
 
         let lsq_op = match sc.class {
             ScenarioClass::LeastSquares => Some(LsqOperator::new(built.a.clone())),
             ScenarioClass::SquareSpd | ScenarioClass::SquareNonsym => None,
         };
+        let mut runs = Vec::new();
         for family in FAMILY_NAMES {
-            cells.push(run_cell(
+            let lsq = lsq_op.as_ref();
+            runs.push(run_cell(
+                &mut report,
                 sc,
                 family,
                 "csr",
                 &built.a,
                 &built.b,
-                lsq_op.as_ref(),
-                threads,
+                lsq,
             ));
         }
         // The zero-copy unit-diagonal backend (square scenarios): solve
@@ -291,30 +275,39 @@ fn main() {
         if let Some(view) = built.unit_view() {
             let b_unit = view.rhs_to_unit(&built.b);
             for family in FAMILY_NAMES {
-                cells.push(run_cell(
+                runs.push(run_cell(
+                    &mut report,
                     sc,
                     family,
                     "unit_view",
                     &view,
                     &b_unit,
                     None,
-                    threads,
                 ));
             }
         }
         // The dense backend, where small enough to be sensible.
         if let Some(dense) = built.dense() {
             for family in FAMILY_NAMES {
-                cells.push(run_cell(
-                    sc, family, "dense", &dense, &built.b, None, threads,
+                runs.push(run_cell(
+                    &mut report,
+                    sc,
+                    family,
+                    "dense",
+                    &dense,
+                    &built.b,
+                    None,
                 ));
             }
         }
-        let done = cells.len();
-        eprintln!("  {:>24}: {} cells total", sc.name, done);
+        for (cell, ok) in runs {
+            unexpected += usize::from(!ok);
+            cells.push(cell);
+        }
+        eprintln!("  {:>24}: {} cells total", sc.name, cells.len());
     }
 
-    let study = precond_study(&scenarios, threads);
+    let study = precond_study(&scenarios);
     for r in &study {
         eprintln!(
             "  study {:>20}/{}/{:<8}: {} iters{}",
@@ -330,86 +323,59 @@ fn main() {
         );
     }
 
-    let unexpected: Vec<&Cell> = cells.iter().filter(|c| !c.ok).collect();
-    for c in &unexpected {
-        eprintln!(
-            "UNEXPECTED {}/{}/{}: expected {}, got {} (residual {:.3e})",
-            c.scenario, c.family, c.backend, c.expectation, c.status, c.final_rel_residual
-        );
+    let counts = (scenarios.len(), cells.len());
+    report.gate(
+        "scenarios: corpus and cells nonempty",
+        counts.0 > 0 && counts.1 > 0,
+        counts,
+    );
+    let nonsym = scenarios
+        .iter()
+        .any(|sc| sc.class == ScenarioClass::SquareNonsym);
+    report.gate("scenarios: a square_nonsym scenario ran", nonsym, counts);
+    report.gate("study: rows nonempty", !study.is_empty(), study.len());
+    // The headline claim of the nonsymmetric subsystem: AsyRGS
+    // right-preconditioning cuts BiCGSTAB outer iterations on the
+    // convection–diffusion family against the unpreconditioned run.
+    let mut compared = 0;
+    for r in study.iter().filter(|r| {
+        r.family == "bicgstab" && r.precond == "asyrgs" && r.scenario.starts_with("conv_diff")
+    }) {
+        let plain = study
+            .iter()
+            .find(|p| p.scenario == r.scenario && p.family == r.family && p.precond == "identity");
+        let cut = plain.is_some_and(|p| r.converged && p.converged && r.iterations < p.iterations);
+        compared += usize::from(cut);
+        let got = (r.scenario, r.iterations, plain.map(|p| p.iterations));
+        report.gate("study: AsyRGS cuts BiCGSTAB outer iterations", cut, got);
     }
+    report.gate("study: conv_diff comparisons >= 2", compared >= 2, compared);
 
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"schema\": \"asyrgs-scenarios-v2\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"solver_threads\": {threads},");
-    let _ = writeln!(j, "  \"unexpected_cells\": {},", unexpected.len());
-    let _ = writeln!(j, "  \"scenarios\": [");
-    let _ = writeln!(j, "{}", meta_rows.join(",\n"));
-    j.push_str("  ],\n  \"precond_study\": [\n");
-    for (i, r) in study.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"scenario\": \"{}\", \"family\": \"{}\", \"precond\": \"{}\", \
-             \"converged\": {}, \"iterations\": {}, \"seconds\": {:.6e}, \
-             \"final_rel_residual\": {}}}{}",
-            r.scenario,
-            r.family,
-            r.precond,
-            r.converged,
-            r.iterations,
-            r.seconds,
-            json_f64(r.final_rel_residual),
-            if i + 1 < study.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ],\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"scenario\": \"{}\", \"family\": \"{}\", \"backend\": \"{}\", \
-             \"expectation\": \"{}\", \"status\": \"{}\", \"ok\": {}, \
-             \"seconds\": {:.6e}, \"iterations\": {}, \"iterations_to_tol\": {}, \
-             \"final_rel_residual\": {}{}}}{}",
-            c.scenario,
-            c.family,
-            c.backend,
-            c.expectation,
-            c.status,
-            c.ok,
-            c.seconds,
-            c.iterations,
-            c.iterations_to_tol
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            json_f64(c.final_rel_residual),
-            c.error
-                .as_deref()
-                .map(|e| format!(", \"error\": \"{}\"", json_escape(e)))
-                .unwrap_or_default(),
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ]\n}\n");
-
-    std::fs::write(&out_path, &j).expect("failed to write bench output");
+    let study: Vec<_> = study
+        .iter()
+        .map(|r| {
+            obj! {
+                "scenario": r.scenario,
+                "family": r.family,
+                "precond": r.precond,
+                "converged": r.converged,
+                "iterations": r.iterations,
+                "seconds": r.seconds,
+                "final_rel_residual": r.final_rel_residual,
+            }
+        })
+        .collect();
     eprintln!(
-        "scenario_runner: wrote {out_path} ({} cells, {} unexpected)",
-        cells.len(),
-        unexpected.len()
+        "scenario_runner: {} cells, {unexpected} unexpected",
+        cells.len()
     );
-
-    // Structural self-check so the CI smoke job fails loudly on a broken
-    // emitter, mirroring bench_runner.
-    let parsed = std::fs::read_to_string(&out_path).expect("reread failed");
-    assert!(
-        parsed.matches('{').count() == parsed.matches('}').count() && parsed.contains("\"cells\""),
-        "scenario bench output failed self-check"
-    );
-}
-
-fn kappa_or_null(v: Option<f64>) -> String {
-    v.filter(|x| x.is_finite())
-        .map(|x| format!("{x:.6e}"))
-        .unwrap_or_else(|| "null".to_string())
+    report.finish(&obj! {
+        "schema": "asyrgs-scenarios-v2",
+        "smoke": smoke,
+        "solver_threads": THREADS,
+        "unexpected_cells": unexpected,
+        "scenarios": meta_rows,
+        "precond_study": study,
+        "cells": cells,
+    })
 }

@@ -28,6 +28,13 @@
 //! (paused scheduler) so queue wait dominates there by construction — the
 //! split is what makes that visible instead of misleading.
 //!
+//! The runner gates what it measured and exits nonzero if a gate fails:
+//! every throughput row ran jobs in positive time with ordered latency
+//! quantiles; mixed-traffic outcomes add up with none cancelled; and the
+//! Zipf replay repeats matrices, dedups at least half its admissions,
+//! coalesces across tenants, warm-starts, sees no fingerprint collision,
+//! and its cross-tenant coalesced solve equals a solo dispatch bitwise.
+//!
 //! Usage:
 //! ```text
 //! serve_runner [OUTPUT_PATH]        (default: BENCH_serve.json)
@@ -37,6 +44,8 @@
 //! `ASYRGS_THREADS=N` — global pool width (also sizes runners/slots).
 
 use asyrgs::session::{SolverBuilder, SolverFamily};
+use asyrgs_bench::obj;
+use asyrgs_bench::report::{Json, Report, Summary};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::error::SolveError;
 use asyrgs_serve::{JobHandle, JobStats, Scheduler, SchedulerConfig, SolveJob, TenantId};
@@ -44,81 +53,37 @@ use asyrgs_sparse::CsrMatrix;
 use asyrgs_workloads::scenarios;
 use asyrgs_workloads::traffic::{mixed_tenant_mix, zipf_hot_matrix_replay};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Latency percentiles in milliseconds.
-struct LatencyMs {
-    p50: f64,
-    p90: f64,
-    p99: f64,
-    max: f64,
-}
-
-fn percentiles(latencies: &mut [Duration]) -> LatencyMs {
-    latencies.sort_unstable();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let at = |q: f64| {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * q).round() as usize;
-        ms(latencies[idx])
-    };
-    LatencyMs {
-        p50: at(0.50),
-        p90: at(0.90),
-        p99: at(0.99),
-        max: latencies.last().copied().map(ms).unwrap_or(0.0),
-    }
-}
-
 /// Admission-to-completion latency with its queue-wait/solve-time
-/// components kept separate. The scheduler admits benchmark batches all
-/// at once, so the total is dominated by queue wait — reporting only the
-/// sum made p50 ≈ p99 ≈ max at low tenancy and hid the actual service
-/// time entirely.
+/// components kept separate, in milliseconds. The scheduler admits
+/// benchmark batches all at once, so the total is dominated by queue
+/// wait — reporting only the sum made p50 ≈ p99 ≈ max at low tenancy and
+/// hid the actual service time entirely.
+#[derive(Default)]
 struct LatencySplit {
-    total: Vec<Duration>,
-    queue_wait: Vec<Duration>,
-    solve: Vec<Duration>,
+    total: Vec<f64>,
+    queue_wait: Vec<f64>,
+    solve: Vec<f64>,
 }
 
 impl LatencySplit {
-    fn with_capacity(n: usize) -> Self {
-        LatencySplit {
-            total: Vec::with_capacity(n),
-            queue_wait: Vec::with_capacity(n),
-            solve: Vec::with_capacity(n),
-        }
-    }
-
     fn push(&mut self, stats: &JobStats) {
-        self.total.push(stats.queued + stats.service);
-        self.queue_wait.push(stats.queued);
-        self.solve.push(stats.service);
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        self.total.push(ms(stats.queued + stats.service));
+        self.queue_wait.push(ms(stats.queued));
+        self.solve.push(ms(stats.service));
     }
 
-    fn percentiles(mut self) -> (LatencyMs, LatencyMs, LatencyMs) {
-        (
-            percentiles(&mut self.total),
-            percentiles(&mut self.queue_wait),
-            percentiles(&mut self.solve),
-        )
+    fn summaries(mut self) -> [Summary; 3] {
+        [
+            Summary::of(&mut self.total),
+            Summary::of(&mut self.queue_wait),
+            Summary::of(&mut self.solve),
+        ]
     }
-}
-
-struct ThroughputRow {
-    tenants: usize,
-    jobs: usize,
-    scheduler_seconds: f64,
-    sequential_seconds: f64,
-    speedup: f64,
-    jobs_per_second: f64,
-    latency: LatencyMs,
-    queue_wait: LatencyMs,
-    solve: LatencyMs,
 }
 
 /// The fixed-work job every throughput cell runs: sequential RGS with a
@@ -131,13 +96,14 @@ fn throughput_builder(sweeps: usize) -> SolverBuilder {
 }
 
 fn throughput_section(
+    report: &mut Report,
     a: &Arc<CsrMatrix>,
     b: &[f64],
     tenants: usize,
     jobs_per_tenant: usize,
     sweeps: usize,
     width: usize,
-) -> ThroughputRow {
+) -> Json {
     let jobs = tenants * jobs_per_tenant;
     let builder = throughput_builder(sweeps);
 
@@ -171,46 +137,54 @@ fn throughput_section(
         .collect();
     let sched_start = Instant::now();
     sched.resume();
-    let mut split = LatencySplit::with_capacity(jobs);
+    let mut split = LatencySplit::default();
     for h in handles {
         let out = h.wait();
         out.result.expect("fixed-sweep jobs cannot fail");
         split.push(&out.stats);
     }
     let scheduler_seconds = sched_start.elapsed().as_secs_f64();
-    let (latency, queue_wait, solve) = split.percentiles();
-
-    ThroughputRow {
-        tenants,
-        jobs,
-        scheduler_seconds,
-        sequential_seconds,
-        speedup: sequential_seconds / scheduler_seconds,
-        jobs_per_second: jobs as f64 / scheduler_seconds,
-        latency,
-        queue_wait,
-        solve,
+    let [latency, queue_wait, solve] = split.summaries();
+    let speedup = sequential_seconds / scheduler_seconds;
+    let jobs_per_second = jobs as f64 / scheduler_seconds;
+    eprintln!(
+        "  {tenants:>2} tenants x {jobs_per_tenant:>2} jobs: scheduler {scheduler_seconds:.3}s vs \
+         sequential {sequential_seconds:.3}s -> {speedup:.2}x ({jobs_per_second:.0} jobs/s, \
+         p99 {:.1} ms = queue {:.1} + solve {:.1})",
+        latency.p99, queue_wait.p99, solve.p99,
+    );
+    report.gate(
+        "throughput: jobs, both times and jobs/s > 0",
+        jobs > 0 && scheduler_seconds > 0.0 && sequential_seconds > 0.0 && jobs_per_second > 0.0,
+        (tenants, jobs, scheduler_seconds, sequential_seconds),
+    );
+    report.gate(
+        "throughput: p50 <= p90 <= p99 <= max",
+        [latency, queue_wait, solve]
+            .iter()
+            .all(|l| l.p50 <= l.p90 && l.p90 <= l.p99 && l.p99 <= l.max),
+        (tenants, latency, queue_wait, solve),
+    );
+    obj! {
+        "tenants": tenants,
+        "jobs": jobs,
+        "scheduler_seconds": scheduler_seconds,
+        "sequential_seconds": sequential_seconds,
+        "speedup": speedup,
+        "jobs_per_second": jobs_per_second,
+        "latency_ms": latency.quantiles(),
+        "queue_wait_ms": queue_wait.quantiles(),
+        "solve_ms": solve.quantiles(),
     }
 }
 
-struct MixedRow {
-    tenants: usize,
-    jobs: usize,
-    succeeded: u64,
-    deadline_expired: u64,
-    cancelled: u64,
-    seconds: f64,
-    latency: LatencyMs,
-    queue_wait: LatencyMs,
-    solve: LatencyMs,
-}
-
 fn mixed_traffic_section(
+    report: &mut Report,
     tenants: usize,
     jobs_per_tenant: usize,
     sweeps: usize,
     width: usize,
-) -> MixedRow {
+) -> Json {
     let mix = mixed_tenant_mix(tenants, jobs_per_tenant, 0x7EAA_F1C5);
     // Build each referenced corpus problem once.
     let mut problems: HashMap<&'static str, (Arc<CsrMatrix>, Vec<f64>)> = HashMap::new();
@@ -243,7 +217,7 @@ fn mixed_traffic_section(
     }
     let start = Instant::now();
     sched.resume();
-    let mut split = LatencySplit::with_capacity(handles.len());
+    let mut split = LatencySplit::default();
     let jobs = handles.len();
     let mut succeeded = 0u64;
     let mut deadline_expired = 0u64;
@@ -259,45 +233,27 @@ fn mixed_traffic_section(
         split.push(&out.stats);
     }
     let seconds = start.elapsed().as_secs_f64();
-    let (latency, queue_wait, solve) = split.percentiles();
-    MixedRow {
-        tenants,
-        jobs,
-        succeeded,
-        deadline_expired,
-        cancelled,
-        seconds,
-        latency,
-        queue_wait,
-        solve,
-    }
-}
-
-/// Zipf hot-matrix replay results plus the registry/scheduler counters
-/// accumulated while serving it.
-struct RegistrySection {
-    seed: u64,
-    zipf_s: f64,
-    cold_jobs: usize,
-    resubmit_jobs: usize,
-    tenants: usize,
-    unique_matrices: usize,
-    seconds: f64,
-    jobs_per_second: f64,
-    latency: LatencyMs,
-    queue_wait: LatencyMs,
-    solve: LatencyMs,
-    warm_started_jobs: u64,
-    dedup_hit_rate: f64,
-    coalescing_hit_rate: f64,
-    reg: asyrgs_serve::RegistryStats,
-    sched: asyrgs_serve::SchedulerStats,
-    coalesce_bitwise_ok: bool,
-}
-
-impl RegistrySection {
-    fn total_jobs(&self) -> usize {
-        self.cold_jobs + self.resubmit_jobs
+    let [latency, queue_wait, solve] = split.summaries();
+    eprintln!(
+        "  mixed traffic: {jobs} jobs over {tenants} tenants in {seconds:.3}s ({succeeded} ok, \
+         {deadline_expired} deadline-expired, {cancelled} cancelled)"
+    );
+    report.gate(
+        "mixed: jobs == succeeded + deadline_expired + cancelled",
+        jobs as u64 == succeeded + deadline_expired + cancelled,
+        (jobs, succeeded, deadline_expired, cancelled),
+    );
+    report.gate("mixed: cancelled == 0", cancelled == 0, cancelled);
+    obj! {
+        "tenants": tenants,
+        "jobs": jobs,
+        "succeeded": succeeded,
+        "deadline_expired": deadline_expired,
+        "cancelled": cancelled,
+        "seconds": seconds,
+        "latency_ms": latency.quantiles(),
+        "queue_wait_ms": queue_wait.quantiles(),
+        "solve_ms": solve.quantiles(),
     }
 }
 
@@ -307,12 +263,7 @@ impl RegistrySection {
 /// registry dedups them onto one canonical `Arc`, coalescing merges them
 /// into one block dispatch — and every returned solution must equal the
 /// solo-dispatch solution bit for bit.
-fn cross_tenant_bitwise_check(
-    a: &Arc<CsrMatrix>,
-    b: &[f64],
-    sweeps: usize,
-    width: usize,
-) -> (bool, u64) {
+fn cross_tenant_bitwise_check(a: &Arc<CsrMatrix>, b: &[f64], sweeps: usize, width: usize) -> bool {
     let builder = throughput_builder(sweeps);
     let k = 6usize;
     let sched = Scheduler::new(SchedulerConfig {
@@ -349,16 +300,19 @@ fn cross_tenant_bitwise_check(
             ok = false;
         }
     }
-    (ok, sched.stats().cross_tenant_coalesced)
+    ok
 }
 
+/// The Zipf hot-matrix replay, with the registry and scheduler counters
+/// accumulated while serving it.
 fn registry_section(
+    report: &mut Report,
     jobs: usize,
     tenants: usize,
     resubmit_jobs: usize,
     sweeps: usize,
     width: usize,
-) -> RegistrySection {
+) -> Json {
     let seed = 0xA11C_E5EEDu64;
     let replay = zipf_hot_matrix_replay(jobs, tenants, seed);
     // Build each hot matrix's reference problem once; every submission
@@ -391,14 +345,14 @@ fn registry_section(
     };
 
     let start = Instant::now();
-    let mut split = LatencySplit::with_capacity(jobs + resubmit_jobs);
-    let mut warm_started_jobs = 0u64;
+    let mut split = LatencySplit::default();
+    let mut warm_started = 0u64;
     let mut drain = |handles: Vec<JobHandle>| {
         for h in handles {
             let out = h.wait();
             out.result.expect("fixed-sweep jobs cannot fail");
             if out.stats.warm_started {
-                warm_started_jobs += 1;
+                warm_started += 1;
             }
             split.push(&out.stats);
         }
@@ -421,48 +375,103 @@ fn registry_section(
     let reg = sched.registry_stats();
     let stats = sched.stats();
     let total_jobs = jobs + resubmit_jobs;
-    let (latency, queue_wait, solve) = split.percentiles();
+    let unique_matrices = replay.matrices.len();
+    let dedup_hit_rate = reg.hit_rate();
+    let [latency, queue_wait, solve] = split.summaries();
 
-    let (coalesce_bitwise_ok, _) = cross_tenant_bitwise_check(
+    let coalesce_bitwise_ok = cross_tenant_bitwise_check(
         &Arc::new(problems[0].0.clone()),
         &problems[0].1,
         sweeps,
         width,
     );
+    eprintln!(
+        "  zipf replay: {total_jobs} jobs ({jobs} cold + {resubmit_jobs} resubmit) over \
+         {tenants} tenants, {unique_matrices} unique matrices, in {seconds:.3}s"
+    );
+    eprintln!(
+        "    dedup hit rate {:.1}% ({} hits / {} misses), coalesced {} ({} cross-tenant), \
+         warm-started {warm_started}, evictions {}, collisions {}",
+        dedup_hit_rate * 100.0,
+        reg.hits,
+        reg.misses,
+        stats.coalesced,
+        stats.cross_tenant_coalesced,
+        reg.evictions,
+        reg.collisions,
+    );
 
-    RegistrySection {
-        seed,
-        zipf_s: replay.zipf_s,
-        cold_jobs: jobs,
-        resubmit_jobs,
-        tenants,
-        unique_matrices: replay.matrices.len(),
-        seconds,
-        jobs_per_second: total_jobs as f64 / seconds,
-        latency,
-        queue_wait,
-        solve,
-        warm_started_jobs,
-        dedup_hit_rate: reg.hit_rate(),
-        coalescing_hit_rate: stats.coalesced as f64 / total_jobs as f64,
-        reg,
-        sched: stats,
+    report.gate(
+        "zipf: jobs > 0 and tenants > 1",
+        total_jobs > 0 && tenants > 1,
+        (total_jobs, tenants),
+    );
+    report.gate(
+        "zipf: unique_matrices * 2 < jobs",
+        unique_matrices * 2 < total_jobs,
+        (unique_matrices, total_jobs),
+    );
+    report.gate(
+        "registry: dedup_hit_rate >= 0.5",
+        dedup_hit_rate >= 0.5,
+        dedup_hit_rate,
+    );
+    report.gate(
+        "registry: hits > 0 and misses > 0",
+        reg.hits > 0 && reg.misses > 0,
+        (reg.hits, reg.misses),
+    );
+    report.gate(
+        "registry: collisions == 0",
+        reg.collisions == 0,
+        reg.collisions,
+    );
+    report.gate(
+        "registry: cross_tenant_coalesced > 0",
+        stats.cross_tenant_coalesced > 0,
+        stats.cross_tenant_coalesced,
+    );
+    report.gate("registry: warm_started > 0", warm_started > 0, warm_started);
+    report.gate(
+        "registry: coalesce_bitwise_ok",
         coalesce_bitwise_ok,
+        "a cross-tenant coalesced solve differs from the solo dispatch",
+    );
+
+    obj! {
+        "zipf_replay": obj! {
+            "seed": seed,
+            "zipf_s": replay.zipf_s,
+            "jobs": total_jobs,
+            "cold_jobs": jobs,
+            "resubmit_jobs": resubmit_jobs,
+            "tenants": tenants,
+            "unique_matrices": unique_matrices,
+            "seconds": seconds,
+            "jobs_per_second": total_jobs as f64 / seconds,
+            "latency_ms": latency.quantiles(),
+            "queue_wait_ms": queue_wait.quantiles(),
+            "solve_ms": solve.quantiles(),
+        },
+        "dedup_hit_rate": dedup_hit_rate,
+        "coalescing_hit_rate": stats.coalesced as f64 / total_jobs as f64,
+        "hits": reg.hits,
+        "misses": reg.misses,
+        "evictions": reg.evictions,
+        "collisions": reg.collisions,
+        "warm_starts": reg.warm_starts,
+        "entries": reg.entries,
+        "bytes": reg.bytes,
+        "coalesced": stats.coalesced,
+        "cross_tenant_coalesced": stats.cross_tenant_coalesced,
+        "warm_started": warm_started,
+        "coalesce_bitwise_ok": coalesce_bitwise_ok,
     }
 }
 
-fn latency_json(l: &LatencyMs) -> String {
-    format!(
-        "{{\"p50\": {:.3}, \"p90\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}}}",
-        l.p50, l.p90, l.p99, l.max
-    )
-}
-
-fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let smoke = std::env::var("ASYRGS_BENCH_SMOKE").as_deref() == Ok("1");
+fn main() -> ExitCode {
+    let mut report = Report::from_env("BENCH_serve.json");
+    let smoke = report.smoke;
     let width = asyrgs_parallel::default_concurrency();
     let (jobs_per_tenant, sweeps, mixed_jobs) = if smoke { (2, 30, 1) } else { (8, 400, 4) };
     // Zipf replay scale: the full run replays >= 1k jobs over 256 tenants
@@ -485,162 +494,30 @@ fn main() {
         "serve_runner: pool width {width}{}",
         if smoke { " (smoke)" } else { "" }
     );
-    let mut rows = Vec::new();
-    for tenants in [1usize, 8, 64] {
-        let row = throughput_section(&a, &b, tenants, jobs_per_tenant, sweeps, width);
-        eprintln!(
-            "  {:>2} tenants x {:>2} jobs: scheduler {:.3}s vs sequential {:.3}s -> {:.2}x \
-             ({:.0} jobs/s, p99 {:.1} ms = queue {:.1} + solve {:.1})",
-            row.tenants,
-            jobs_per_tenant,
-            row.scheduler_seconds,
-            row.sequential_seconds,
-            row.speedup,
-            row.jobs_per_second,
-            row.latency.p99,
-            row.queue_wait.p99,
-            row.solve.p99,
-        );
-        rows.push(row);
-    }
-
-    let mixed = mixed_traffic_section(16, mixed_jobs, sweeps, width);
-    eprintln!(
-        "  mixed traffic: {} jobs over {} tenants in {:.3}s ({} ok, {} deadline-expired, {} cancelled)",
-        mixed.jobs, mixed.tenants, mixed.seconds, mixed.succeeded, mixed.deadline_expired, mixed.cancelled
+    report.gate("pool_width >= 1", width >= 1, width);
+    let throughput: Vec<Json> = [1usize, 8, 64]
+        .into_iter()
+        .map(|tenants| {
+            throughput_section(&mut report, &a, &b, tenants, jobs_per_tenant, sweeps, width)
+        })
+        .collect();
+    let mixed = mixed_traffic_section(&mut report, 16, mixed_jobs, sweeps, width);
+    let registry = registry_section(
+        &mut report,
+        zipf_jobs,
+        zipf_tenants,
+        zipf_resubmit,
+        zipf_sweeps,
+        width,
     );
-
-    let registry = registry_section(zipf_jobs, zipf_tenants, zipf_resubmit, zipf_sweeps, width);
-    assert!(
-        registry.coalesce_bitwise_ok,
-        "cross-tenant coalesced solve diverged bitwise from solo dispatch"
-    );
-    eprintln!(
-        "  zipf replay: {} jobs ({} cold + {} resubmit) over {} tenants, \
-         {} unique matrices, in {:.3}s",
-        registry.total_jobs(),
-        registry.cold_jobs,
-        registry.resubmit_jobs,
-        registry.tenants,
-        registry.unique_matrices,
-        registry.seconds,
-    );
-    eprintln!(
-        "    dedup hit rate {:.1}% ({} hits / {} misses), coalesced {} ({} cross-tenant), \
-         warm-started {}, evictions {}, collisions {}",
-        registry.dedup_hit_rate * 100.0,
-        registry.reg.hits,
-        registry.reg.misses,
-        registry.sched.coalesced,
-        registry.sched.cross_tenant_coalesced,
-        registry.warm_started_jobs,
-        registry.reg.evictions,
-        registry.reg.collisions,
-    );
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"schema\": \"asyrgs-serve-v2\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    let _ = writeln!(j, "  \"pool_width\": {width},");
-    let _ = writeln!(j, "  \"jobs_per_tenant\": {jobs_per_tenant},");
-    let _ = writeln!(j, "  \"sweeps_per_job\": {sweeps},");
-    let _ = writeln!(j, "  \"throughput\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"tenants\": {}, \"jobs\": {}, \"scheduler_seconds\": {:.6e}, \
-             \"sequential_seconds\": {:.6e}, \"speedup\": {:.3}, \"jobs_per_second\": {:.2}, \
-             \"latency_ms\": {}, \"queue_wait_ms\": {}, \"solve_ms\": {}}}{}",
-            r.tenants,
-            r.jobs,
-            r.scheduler_seconds,
-            r.sequential_seconds,
-            r.speedup,
-            r.jobs_per_second,
-            latency_json(&r.latency),
-            latency_json(&r.queue_wait),
-            latency_json(&r.solve),
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"mixed_traffic\": {{\"tenants\": {}, \"jobs\": {}, \"succeeded\": {}, \
-         \"deadline_expired\": {}, \"cancelled\": {}, \"seconds\": {:.6e}, \"latency_ms\": {}, \
-         \"queue_wait_ms\": {}, \"solve_ms\": {}}},",
-        mixed.tenants,
-        mixed.jobs,
-        mixed.succeeded,
-        mixed.deadline_expired,
-        mixed.cancelled,
-        mixed.seconds,
-        latency_json(&mixed.latency),
-        latency_json(&mixed.queue_wait),
-        latency_json(&mixed.solve),
-    );
-    let _ = writeln!(j, "  \"registry\": {{");
-    let _ = writeln!(
-        j,
-        "    \"zipf_replay\": {{\"seed\": {}, \"zipf_s\": {:.2}, \"jobs\": {}, \
-         \"cold_jobs\": {}, \"resubmit_jobs\": {}, \"tenants\": {}, \
-         \"unique_matrices\": {}, \"seconds\": {:.6e}, \"jobs_per_second\": {:.2}, \
-         \"latency_ms\": {}, \"queue_wait_ms\": {}, \"solve_ms\": {}}},",
-        registry.seed,
-        registry.zipf_s,
-        registry.total_jobs(),
-        registry.cold_jobs,
-        registry.resubmit_jobs,
-        registry.tenants,
-        registry.unique_matrices,
-        registry.seconds,
-        registry.jobs_per_second,
-        latency_json(&registry.latency),
-        latency_json(&registry.queue_wait),
-        latency_json(&registry.solve),
-    );
-    let _ = writeln!(
-        j,
-        "    \"dedup_hit_rate\": {:.4}, \"coalescing_hit_rate\": {:.4},",
-        registry.dedup_hit_rate, registry.coalescing_hit_rate,
-    );
-    let _ = writeln!(
-        j,
-        "    \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"collisions\": {}, \
-         \"warm_starts\": {}, \"entries\": {}, \"bytes\": {},",
-        registry.reg.hits,
-        registry.reg.misses,
-        registry.reg.evictions,
-        registry.reg.collisions,
-        registry.reg.warm_starts,
-        registry.reg.entries,
-        registry.reg.bytes,
-    );
-    let _ = writeln!(
-        j,
-        "    \"coalesced\": {}, \"cross_tenant_coalesced\": {}, \"warm_started\": {},",
-        registry.sched.coalesced, registry.sched.cross_tenant_coalesced, registry.warm_started_jobs,
-    );
-    let _ = writeln!(
-        j,
-        "    \"coalesce_bitwise_ok\": {}",
-        registry.coalesce_bitwise_ok
-    );
-    j.push_str("  }\n");
-    j.push_str("}\n");
-
-    std::fs::write(&out_path, &j).expect("failed to write bench output");
-    eprintln!("serve_runner: wrote {out_path}");
-
-    // Structural self-check so the CI smoke job fails loudly on a broken
-    // emitter, mirroring bench_runner/scenario_runner.
-    let parsed = std::fs::read_to_string(&out_path).expect("reread failed");
-    assert!(
-        parsed.matches('{').count() == parsed.matches('}').count()
-            && parsed.contains("\"throughput\"")
-            && parsed.contains("\"registry\"")
-            && parsed.contains("\"queue_wait_ms\""),
-        "serve bench output failed self-check"
-    );
+    report.finish(&obj! {
+        "schema": "asyrgs-serve-v2",
+        "smoke": smoke,
+        "pool_width": width,
+        "jobs_per_tenant": jobs_per_tenant,
+        "sweeps_per_job": sweeps,
+        "throughput": throughput,
+        "mixed_traffic": mixed,
+        "registry": registry,
+    })
 }

@@ -18,8 +18,14 @@
 //!
 //! Scale is controlled by `ASYRGS_BENCH_SCALE` = `small` (default; seconds)
 //! or `full` (minutes, closer to the paper's matrix scale).
+//!
+//! The `BENCH_*.json` runners (`bench_runner`, `serve_runner`,
+//! `scenario_runner`, `policy_runner`, `fault_runner`) write and gate
+//! their output through [`report`].
 
 use asyrgs_sparse::CsrMatrix;
+
+pub mod report;
 use asyrgs_workloads::{gram_matrix, GramParams, GramProblem};
 
 pub mod harness {

@@ -144,11 +144,6 @@ pub fn theorem3_b(params: &ProblemParams, tau: usize, beta: f64, r: u32) -> f64 
     first * per_block.powi(r as i32 - 1)
 }
 
-/// Theorem 2 assertion (b) (unit step size).
-pub fn theorem2_b(params: &ProblemParams, tau: usize, r: u32) -> f64 {
-    theorem3_b(params, tau, 1.0, r)
-}
-
 /// The epoch length `T = T_0 + tau` of assertion (b).
 pub fn epoch_t(params: &ProblemParams, tau: usize) -> u64 {
     t0(params) + tau as u64

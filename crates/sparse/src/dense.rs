@@ -16,38 +16,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
-/// Parallel dot product for long vectors on the process-wide worker pool.
-///
-/// The vector is split at fixed 16384-element boundaries and the partial
-/// sums are combined in chunk order, so the result is a pure function of
-/// the input length — identical across pool sizes and across runs (though
-/// it may differ from the serial summation order at the last few ulps).
-pub fn par_dot(x: &[f64], y: &[f64]) -> f64 {
-    par_dot_on(asyrgs_parallel::global(), x, y)
-}
-
-/// [`par_dot`] on an injected worker pool. The fixed chunk grain makes the
-/// result identical for every pool size.
-pub fn par_dot_on(pool: &asyrgs_parallel::WorkerPool, x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "par_dot: length mismatch");
-    const GRAIN: usize = 16_384;
-    if x.len() <= GRAIN {
-        return dot(x, y);
-    }
-    // Always take the chunked path above the grain (even on a one-worker
-    // pool, where for_each_chunk iterates the chunks serially): the
-    // summation order is then a pure function of the length, so the result
-    // is bitwise identical for every pool size.
-    let mut partials = vec![0.0f64; x.len().div_ceil(GRAIN)];
-    let pp = asyrgs_parallel::SendPtr(partials.as_mut_ptr());
-    pool.for_each_chunk(x.len(), GRAIN, |lo, hi| {
-        // for_each_chunk always cuts at GRAIN boundaries, so lo / GRAIN
-        // indexes this chunk's (exclusively owned) partial slot.
-        unsafe { pp.write(lo / GRAIN, dot(&x[lo..hi], &y[lo..hi])) };
-    });
-    partials.iter().sum()
-}
-
 /// `y <- a * x + y`.
 #[inline]
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
@@ -90,16 +58,6 @@ pub fn scale(a: f64, x: &mut [f64]) {
     for v in x {
         *v *= a;
     }
-}
-
-/// Euclidean distance `||x - y||_2`.
-pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dist2: length mismatch");
-    x.iter()
-        .zip(y)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// A dense matrix stored row by row, used for multi-RHS blocks.
@@ -213,15 +171,6 @@ impl RowMajorMat {
         norm2(&self.data)
     }
 
-    /// `self <- self - other`, elementwise.
-    pub fn sub_assign(&mut self, other: &RowMajorMat) {
-        assert_eq!(self.n_rows, other.n_rows, "sub_assign: row mismatch");
-        assert_eq!(self.n_cols, other.n_cols, "sub_assign: col mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
     /// Fill with a constant.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
@@ -235,15 +184,6 @@ mod tests {
     #[test]
     fn dot_basic() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
-
-    #[test]
-    fn par_dot_matches_serial() {
-        let x: Vec<f64> = (0..1000).map(|i| (i as f64).sin()).collect();
-        let y: Vec<f64> = (0..1000).map(|i| (i as f64).cos()).collect();
-        let a = dot(&x, &y);
-        let b = par_dot(&x, &y);
-        assert!((a - b).abs() < 1e-9 * a.abs().max(1.0));
     }
 
     #[test]
@@ -268,11 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_dist() {
+    fn scale_basic() {
         let mut x = vec![1.0, -2.0];
         scale(-3.0, &mut x);
         assert_eq!(x, vec![-3.0, 6.0]);
-        assert!((dist2(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-15);
     }
 
     #[test]
@@ -297,12 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn rowmajor_frobenius_and_sub() {
+    fn rowmajor_frobenius() {
         let a = RowMajorMat::from_vec(1, 2, vec![3.0, 4.0]);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-15);
-        let mut b = a.clone();
-        b.sub_assign(&a);
-        assert_eq!(b.frobenius_norm(), 0.0);
     }
 
     #[test]

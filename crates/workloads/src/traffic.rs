@@ -145,16 +145,6 @@ impl HotMatrixReplay {
     pub fn total_jobs(&self) -> usize {
         self.events.len()
     }
-
-    /// How often each matrix is hit, indexed like
-    /// [`matrices`](Self::matrices).
-    pub fn matrix_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.matrices.len()];
-        for e in &self.events {
-            counts[e.matrix] += 1;
-        }
-        counts
-    }
 }
 
 /// The Zipf exponent used by [`zipf_hot_matrix_replay`]: a realistic
@@ -250,7 +240,10 @@ mod tests {
         }
         // Zipf skew: the hottest matrix (index 0) must dominate the
         // coldest by a wide margin at s = 1.1.
-        let counts = a.matrix_counts();
+        let mut counts = vec![0usize; a.matrices.len()];
+        for e in &a.events {
+            counts[e.matrix] += 1;
+        }
         assert!(
             counts[0] > *counts.last().unwrap() * 2,
             "no popularity skew: {counts:?}"

@@ -1,8 +1,16 @@
 //! Bitwise fingerprints of every deterministic (single-worker) fixed-seed
 //! solver path, asserted against the tables below. Refactors of the
-//! parallel runtime and the hot kernels must leave all 21 bit-identical:
-//! 15 solver paths, and 6 Krylov solves under a non-identity
-//! preconditioner.
+//! parallel runtime and the hot kernels must leave all 23 bit-identical:
+//! 15 solver paths, 6 Krylov solves under a non-identity preconditioner,
+//! and 2 Gauss-Seidel walks on a diagonal that is not a power of two.
+//!
+//! Most solver paths run on `laplace2d(12, 12)`, whose diagonal is 4, so
+//! every `* dinv` there is an exact scaling and a reassociated update
+//! such as `b * dinv - dot * dinv` for `(b - dot) * dinv` gives the same
+//! bits. `asyrgs_t1_target` and the two `*_dd` rows run on
+//! `diag_dominant(150, 5, 2.0, 7)` instead, where it does not: together
+//! they pin the one-thread walk, the diagonal-weighted draw and the block
+//! walk against such a change.
 //!
 //! Each hash is computed twice: through the family's `try_*` one-shot
 //! (with a standalone `SpecPrecond` for the preconditioned paths), and
@@ -78,6 +86,13 @@ fn hash(xs: &[f64]) -> u64 {
     }
     h
 }
+
+/// The committed fingerprints on `diag_dominant(150, 5, 2.0, 7)`, in the
+/// order [`off_power_of_two_fingerprints`] computes them.
+const EXPECTED_OFF_POWER_OF_TWO: [(&str, u64); 2] = [
+    ("rgs_weighted_dd", 0x42e7_3b0e_488d_dd1b),
+    ("asyrgs_block_t1_dd", 0x07b4_4fb4_1bc8_fb99),
+];
 
 /// A session configured with exactly the knobs of `o`.
 fn rgs_session(o: &RgsOptions) -> SolveSession {
@@ -405,6 +420,48 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
     out
 }
 
+/// Run the `rgs_weighted` and `asyrgs_block_t1` solves again on
+/// `diag_dominant(150, 5, 2.0, 7)` and hash each final iterate: the name,
+/// the `try_*` hash, then the session hash.
+fn off_power_of_two_fingerprints() -> Vec<(&'static str, u64, u64)> {
+    let a = diag_dominant(150, 5, 2.0, 7);
+    let n = a.n_rows();
+    let b = a.matvec(&vec![1.0; n]);
+    let mut out = Vec::new();
+    {
+        let opts = RgsOptions {
+            sampling: RowSampling::DiagonalWeighted,
+            term: Termination::sweeps(9),
+            ..Default::default()
+        };
+        let mut x = vec![0.0; n];
+        try_rgs_solve(&a, &b, &mut x, None, &opts).unwrap();
+        let mut y = vec![0.0; n];
+        rgs_session(&opts).solve(&a, &b, &mut y).unwrap();
+        out.push(("rgs_weighted_dd", hash(&x), hash(&y)));
+    }
+    {
+        let k = 2;
+        let mut b_blk = RowMajorMat::zeros(n, k);
+        b_blk.set_col(0, &b);
+        b_blk.set_col(1, &vec![1.0; n]);
+        let opts = AsyRgsOptions {
+            threads: 1,
+            term: Termination::sweeps(7),
+            ..Default::default()
+        };
+        let mut x_blk = RowMajorMat::zeros(n, k);
+        try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
+        let y_blk = solve_many_packed(&mut asyrgs_session(&opts), &a, &b_blk);
+        out.push((
+            "asyrgs_block_t1_dd",
+            hash(x_blk.as_slice()),
+            hash(y_blk.as_slice()),
+        ));
+    }
+    out
+}
+
 /// Run the 6 pinned preconditioned Krylov solves (one thread, seed
 /// `0x5EED`, at most 200 iterations to 1e-8) and hash each final iterate:
 /// the name, the standalone-`SpecPrecond` hash, then the session hash.
@@ -531,6 +588,15 @@ fn assert_unchanged(got: &[(&str, u64, u64)], expected: &[(&str, u64)], one_shot
 #[test]
 fn fifteen_fingerprints_are_bitwise_unchanged() {
     assert_unchanged(&fingerprints(), &EXPECTED, "try_*");
+}
+
+#[test]
+fn off_power_of_two_diagonal_fingerprints_are_bitwise_unchanged() {
+    assert_unchanged(
+        &off_power_of_two_fingerprints(),
+        &EXPECTED_OFF_POWER_OF_TWO,
+        "try_*",
+    );
 }
 
 #[test]

@@ -6,7 +6,6 @@
 
 use asyrgs::parallel::WorkerPool;
 use asyrgs::prelude::*;
-use asyrgs::sparse::dense;
 use asyrgs::workloads::{diag_dominant, random_lsq, LsqParams};
 
 /// Pool widths exercised everywhere: serial, two-way, and the machine
@@ -86,20 +85,6 @@ fn pooled_spmm_bitwise_matches_serial_across_pools_and_rhs_counts() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn par_dot_identical_for_every_pool_width() {
-    // Above the 16384 grain the chunked summation order is a pure function
-    // of the length — the result cannot depend on the pool width.
-    let n = 50_000;
-    let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.011).cos()).collect();
-    let y: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.007).sin()).collect();
-    let reference = dense::par_dot_on(&WorkerPool::new(1), &x, &y);
-    for &w in &pool_widths() {
-        let pool = WorkerPool::new(w);
-        assert_eq!(reference, dense::par_dot_on(&pool, &x, &y), "pool={w}");
     }
 }
 
