@@ -22,6 +22,11 @@
 //! pins the one-thread walk; the shared walk of the pool workers has its
 //! own bitwise unit test in `asyrgs-core`.
 //!
+//! Each path's reports are pinned as well (`EXPECTED_REPORTS`): one hash
+//! over every `SweepRecord` and the report's counters, per route, so a
+//! change to which sweeps a solver observes, records or counts fails here
+//! even when the final iterate keeps its bits.
+//!
 //! Every matrix here has at most 150 unknowns, far below
 //! `PREFETCH_MIN_BYTES`, so these pin the plain (no prefetch) side of the
 //! update walks; `tests/determinism.rs` pins the prefetch side.
@@ -32,8 +37,8 @@
 //! platform's libm: `random_lsq` draws Box-Muller normals through `f64::ln`
 //! and `f64::cos`, which are not required to be correctly rounded. The
 //! table was recorded against glibc on x86_64 Linux; a libm that rounds
-//! one of those calls differently changes those two hashes and nothing
-//! else.
+//! one of those calls differently changes those two paths' iterate and
+//! report hashes and nothing else.
 
 use asyrgs::core::asyrgs::ReadMode;
 use asyrgs::core::rgs::RowSampling;
@@ -74,12 +79,12 @@ const EXPECTED_PRECONDITIONED: [(&str, u64); 6] = [
     ("bicgstab_rgs2", 0x5f8c_c575_08cc_543e),
 ];
 
-fn hash(xs: &[f64]) -> u64 {
-    // FNV-style xor/multiply over the raw bit patterns: any single-ulp
-    // change shows up.
+/// FNV-style xor/multiply over the bytes of `words`: any single-bit
+/// change shows up.
+fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for byte in x.to_bits().to_le_bytes() {
+    for word in words {
+        for byte in word.to_le_bytes() {
             h ^= byte as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
@@ -87,11 +92,139 @@ fn hash(xs: &[f64]) -> u64 {
     h
 }
 
+/// The hash of an iterate: its raw bit patterns.
+fn hash(xs: &[f64]) -> u64 {
+    hash_words(xs.iter().map(|x| x.to_bits()))
+}
+
+/// The hash of a route's reports: every record's sweep, iteration count
+/// and residual and error bits, then the report's iteration count, final
+/// residual bits, thread count, early-convergence flag and delay.
+fn report_hash(reports: &[SolveReport]) -> u64 {
+    let f = |v: Option<f64>| [v.is_some() as u64, v.map_or(0, f64::to_bits)];
+    let mut words = Vec::new();
+    for r in reports {
+        for rec in &r.records {
+            words.extend([rec.sweep as u64, rec.iterations, rec.rel_residual.to_bits()]);
+            words.extend(f(rec.rel_error_anorm));
+        }
+        words.extend([
+            r.records.len() as u64,
+            r.iterations,
+            r.final_rel_residual.to_bits(),
+            r.threads as u64,
+            r.converged_early as u64,
+        ]);
+        words.extend([
+            r.max_observed_delay.is_some() as u64,
+            r.max_observed_delay.unwrap_or(0),
+        ]);
+    }
+    hash_words(words)
+}
+
+/// One pinned path: the final iterate's hash and the reports' hash, each
+/// through the one-shot route, then through the session.
+struct Row {
+    name: &'static str,
+    x: (u64, u64),
+    report: (u64, u64),
+}
+
+/// The [`Row`] of path `name` from each route's iterate and reports.
+fn row(
+    name: &'static str,
+    (x, one_shot): (&[f64], &[SolveReport]),
+    (y, session): (&[f64], &[SolveReport]),
+) -> Row {
+    Row {
+        name,
+        x: (hash(x), hash(y)),
+        report: (report_hash(one_shot), report_hash(session)),
+    }
+}
+
 /// The committed fingerprints on `diag_dominant(150, 5, 2.0, 7)`, in the
 /// order [`off_power_of_two_fingerprints`] computes them.
 const EXPECTED_OFF_POWER_OF_TWO: [(&str, u64); 2] = [
     ("rgs_weighted_dd", 0x42e7_3b0e_488d_dd1b),
     ("asyrgs_block_t1_dd", 0x07b4_4fb4_1bc8_fb99),
+];
+
+/// The committed report hashes ([`report_hash`]) of all 23 paths, in the
+/// order of [`fingerprints`], [`off_power_of_two_fingerprints`] and
+/// [`preconditioned_fingerprints`]: the one-shot route, then the session.
+/// The routes agree except on the three block paths, where the session's
+/// `solve_many` returns one report per right-hand side, each with that
+/// system's own final residual.
+const EXPECTED_REPORTS: [(&str, u64, u64); 23] = [
+    ("rgs", 0x8a9a_29bb_b1f2_3c80, 0x8a9a_29bb_b1f2_3c80),
+    ("rgs_weighted", 0xfa6e_5216_f291_6d4c, 0xfa6e_5216_f291_6d4c),
+    ("asyrgs_t1", 0xd561_6688_2efb_1a40, 0xd561_6688_2efb_1a40),
+    (
+        "asyrgs_t1_epoch2",
+        0xabb1_2e1a_4805_1e9c,
+        0xabb1_2e1a_4805_1e9c,
+    ),
+    (
+        "asyrgs_t1_locked",
+        0x27e8_c544_afe2_9d05,
+        0x27e8_c544_afe2_9d05,
+    ),
+    (
+        "asyrgs_t1_target",
+        0x5bd4_6795_3a00_641d,
+        0x5bd4_6795_3a00_641d,
+    ),
+    (
+        "asyrgs_block_t1",
+        0xcad0_cac8_2c60_934e,
+        0xa223_6081_7656_cb73,
+    ),
+    ("rgs_block", 0xb692_a0be_a016_da34, 0x50ca_e340_fb3f_3b33),
+    ("jacobi", 0xad6c_33b7_846f_c338, 0xad6c_33b7_846f_c338),
+    (
+        "async_jacobi_t1",
+        0x39b1_8874_36d8_d545,
+        0x39b1_8874_36d8_d545,
+    ),
+    (
+        "partitioned_t1",
+        0x6313_1e05_4028_fb29,
+        0x6313_1e05_4028_fb29,
+    ),
+    ("rcd", 0xec38_3564_7688_5fa8, 0xec38_3564_7688_5fa8),
+    ("async_rcd_t1", 0xf4d9_cf5b_5619_a5c3, 0xf4d9_cf5b_5619_a5c3),
+    ("cg", 0xc278_e5fc_189a_ab9d, 0xc278_e5fc_189a_ab9d),
+    ("fcg", 0x7a16_b116_8253_4d15, 0x7a16_b116_8253_4d15),
+    (
+        "rgs_weighted_dd",
+        0xbc7c_c13b_bcea_34a6,
+        0xbc7c_c13b_bcea_34a6,
+    ),
+    (
+        "asyrgs_block_t1_dd",
+        0xb307_402d_d6b3_52c2,
+        0x5924_7d8a_c395_a7f1,
+    ),
+    ("fcg_jacobi", 0xfafd_500c_2d93_1451, 0xfafd_500c_2d93_1451),
+    ("fcg_rgs3", 0x66d4_42c1_bf20_e17d, 0x66d4_42c1_bf20_e17d),
+    (
+        "fcg_asyrgs2_t1",
+        0x2675_f075_88b8_de34,
+        0x2675_f075_88b8_de34,
+    ),
+    ("gmres_rgs2", 0x42f8_7cb1_022e_fd65, 0x42f8_7cb1_022e_fd65),
+    (
+        "bicgstab_jacobi",
+        0x5320_7bee_51a2_9285,
+        0x5320_7bee_51a2_9285,
+    ),
+    (
+        "bicgstab_rgs2",
+        0xe1b4_6379_3a1f_801d,
+        0xe1b4_6379_3a1f_801d,
+    ),
 ];
 
 /// A session configured with exactly the knobs of `o`.
@@ -135,28 +268,29 @@ fn jacobi_session(family: SolverFamily, o: &JacobiOptions) -> SolveSession {
 }
 
 /// Solve the columns of `b_blk` through `session.solve_many` and repack
-/// the iterates row-major, the layout the block one-shots write.
+/// the iterates row-major, the layout the block one-shots write; return
+/// them with the per-system reports.
 fn solve_many_packed(
     session: &mut SolveSession,
     a: &CsrMatrix,
     b_blk: &RowMajorMat,
-) -> RowMajorMat {
+) -> (RowMajorMat, Vec<SolveReport>) {
     let (n, k) = (b_blk.n_rows(), b_blk.n_cols());
     let bs: Vec<Vec<f64>> = (0..k).map(|t| b_blk.col(t)).collect();
     let b_refs: Vec<&[f64]> = bs.iter().map(|b| &b[..]).collect();
     let mut xs = vec![vec![0.0; n]; k];
     let mut x_refs: Vec<&mut [f64]> = xs.iter_mut().map(|x| &mut x[..]).collect();
-    session.solve_many(a, &b_refs, &mut x_refs).unwrap();
+    let reports = session.solve_many(a, &b_refs, &mut x_refs).unwrap();
     let mut x_blk = RowMajorMat::zeros(n, k);
     for (t, x) in xs.iter().enumerate() {
         x_blk.set_col(t, x);
     }
-    x_blk
+    (x_blk, reports)
 }
 
-/// Run the 15 pinned solves, in order, and hash each final iterate: the
-/// name, the `try_*` hash, then the session hash.
-fn fingerprints() -> Vec<(&'static str, u64, u64)> {
+/// Run the 15 pinned solves, in order, and hash each final iterate and
+/// report through the `try_*` one-shot and the session.
+fn fingerprints() -> Vec<Row> {
     let mut out = Vec::new();
     let a = laplace2d(12, 12);
     let n = a.n_rows();
@@ -186,15 +320,15 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
     ];
     for (name, opts, reference) in rgs_cases {
         let mut x = vec![0.0; n];
-        try_rgs_solve(&a, &b, &mut x, reference, &opts).unwrap();
+        let one_shot = try_rgs_solve(&a, &b, &mut x, reference, &opts).unwrap();
         let mut y = vec![0.0; n];
         let mut session = rgs_session(&opts);
-        match reference {
+        let via_session = match reference {
             Some(xs) => session.solve_with_reference(&a, &b, &mut y, xs),
             None => session.solve(&a, &b, &mut y),
         }
         .unwrap();
-        out.push((name, hash(&x), hash(&y)));
+        out.push(row(name, (&x, &[one_shot]), (&y, &[via_session])));
     }
 
     let asyrgs_cases = [
@@ -230,15 +364,15 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
     ];
     for (name, opts, reference) in asyrgs_cases {
         let mut x = vec![0.0; n];
-        try_asyrgs_solve(&a, &b, &mut x, reference, &opts).unwrap();
+        let one_shot = try_asyrgs_solve(&a, &b, &mut x, reference, &opts).unwrap();
         let mut y = vec![0.0; n];
         let mut session = asyrgs_session(&opts);
-        match reference {
+        let via_session = match reference {
             Some(xs) => session.solve_with_reference(&a, &b, &mut y, xs),
             None => session.solve(&a, &b, &mut y),
         }
         .unwrap();
-        out.push((name, hash(&x), hash(&y)));
+        out.push(row(name, (&x, &[one_shot]), (&y, &[via_session])));
     }
     {
         let opts = AsyRgsOptions {
@@ -247,10 +381,14 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x = vec![0.0; 150];
-        try_asyrgs_solve(&dd, &bd, &mut x, None, &opts).unwrap();
+        let one_shot = try_asyrgs_solve(&dd, &bd, &mut x, None, &opts).unwrap();
         let mut y = vec![0.0; 150];
-        asyrgs_session(&opts).solve(&dd, &bd, &mut y).unwrap();
-        out.push(("asyrgs_t1_target", hash(&x), hash(&y)));
+        let via_session = asyrgs_session(&opts).solve(&dd, &bd, &mut y).unwrap();
+        out.push(row(
+            "asyrgs_t1_target",
+            (&x, &[one_shot]),
+            (&y, &[via_session]),
+        ));
     }
     {
         let k = 2;
@@ -263,12 +401,12 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x_blk = RowMajorMat::zeros(n, k);
-        try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
-        let y_blk = solve_many_packed(&mut asyrgs_session(&opts), &a, &b_blk);
-        out.push((
+        let one_shot = try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
+        let (y_blk, via_session) = solve_many_packed(&mut asyrgs_session(&opts), &a, &b_blk);
+        out.push(row(
             "asyrgs_block_t1",
-            hash(x_blk.as_slice()),
-            hash(y_blk.as_slice()),
+            (x_blk.as_slice(), &[one_shot]),
+            (y_blk.as_slice(), &via_session),
         ));
     }
     {
@@ -289,9 +427,13 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             term: opts.term.clone(),
             ..Default::default()
         };
-        try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &one_thread).unwrap();
-        let y_blk = solve_many_packed(&mut rgs_session(&opts), &a, &b_blk);
-        out.push(("rgs_block", hash(x_blk.as_slice()), hash(y_blk.as_slice())));
+        let one_shot = try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &one_thread).unwrap();
+        let (y_blk, via_session) = solve_many_packed(&mut rgs_session(&opts), &a, &b_blk);
+        out.push(row(
+            "rgs_block",
+            (x_blk.as_slice(), &[one_shot]),
+            (y_blk.as_slice(), &via_session),
+        ));
     }
     {
         let opts = JacobiOptions {
@@ -299,12 +441,12 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        try_jacobi_solve(&a, &b, &mut x, None, &opts).unwrap();
+        let one_shot = try_jacobi_solve(&a, &b, &mut x, None, &opts).unwrap();
         let mut y = vec![0.0; n];
-        jacobi_session(SolverFamily::Jacobi, &opts)
+        let via_session = jacobi_session(SolverFamily::Jacobi, &opts)
             .solve(&a, &b, &mut y)
             .unwrap();
-        out.push(("jacobi", hash(&x), hash(&y)));
+        out.push(row("jacobi", (&x, &[one_shot]), (&y, &[via_session])));
     }
     {
         let opts = JacobiOptions {
@@ -313,12 +455,16 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        try_async_jacobi_solve(&a, &b, &mut x, None, &opts).unwrap();
+        let one_shot = try_async_jacobi_solve(&a, &b, &mut x, None, &opts).unwrap();
         let mut y = vec![0.0; n];
-        jacobi_session(SolverFamily::AsyncJacobi, &opts)
+        let via_session = jacobi_session(SolverFamily::AsyncJacobi, &opts)
             .solve(&a, &b, &mut y)
             .unwrap();
-        out.push(("async_jacobi_t1", hash(&x), hash(&y)));
+        out.push(row(
+            "async_jacobi_t1",
+            (&x, &[one_shot]),
+            (&y, &[via_session]),
+        ));
     }
     {
         let opts = PartitionedOptions {
@@ -327,9 +473,9 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        try_partitioned_solve(&a, &b, &mut x, &opts).unwrap();
+        let one_shot = try_partitioned_solve(&a, &b, &mut x, &opts).unwrap().report;
         let mut y = vec![0.0; n];
-        SolverBuilder::new(SolverFamily::Partitioned)
+        let via_session = SolverBuilder::new(SolverFamily::Partitioned)
             .beta(opts.beta)
             .threads(opts.threads)
             .seed(opts.seed)
@@ -339,7 +485,11 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             .unwrap()
             .solve(&a, &b, &mut y)
             .unwrap();
-        out.push(("partitioned_t1", hash(&x), hash(&y)));
+        out.push(row(
+            "partitioned_t1",
+            (&x, &[one_shot]),
+            (&y, &[via_session]),
+        ));
     }
     {
         let p = random_lsq(&LsqParams {
@@ -367,19 +517,19 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
                 .unwrap()
         };
         let mut x = vec![0.0; op.n_cols()];
-        try_rcd_solve(&op, &p.b, &mut x, &opts).unwrap();
+        let one_shot = try_rcd_solve(&op, &p.b, &mut x, &opts).unwrap();
         let mut y = vec![0.0; op.n_cols()];
-        lsq_session(SolverFamily::Rcd)
+        let via_session = lsq_session(SolverFamily::Rcd)
             .solve_lsq(&op, &p.b, &mut y)
             .unwrap();
-        out.push(("rcd", hash(&x), hash(&y)));
+        out.push(row("rcd", (&x, &[one_shot]), (&y, &[via_session])));
         let mut x = vec![0.0; op.n_cols()];
-        try_async_rcd_solve(&op, &p.b, &mut x, &opts).unwrap();
+        let one_shot = try_async_rcd_solve(&op, &p.b, &mut x, &opts).unwrap();
         let mut y = vec![0.0; op.n_cols()];
-        lsq_session(SolverFamily::AsyncRcd)
+        let via_session = lsq_session(SolverFamily::AsyncRcd)
             .solve_lsq(&op, &p.b, &mut y)
             .unwrap();
-        out.push(("async_rcd_t1", hash(&x), hash(&y)));
+        out.push(row("async_rcd_t1", (&x, &[one_shot]), (&y, &[via_session])));
     }
     {
         let opts = CgOptions {
@@ -387,16 +537,16 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        try_cg_solve(&a, &b, &mut x, &opts).unwrap();
+        let one_shot = try_cg_solve(&a, &b, &mut x, &opts).unwrap();
         let mut y = vec![0.0; n];
-        SolverBuilder::new(SolverFamily::Cg)
+        let via_session = SolverBuilder::new(SolverFamily::Cg)
             .term(opts.term.clone())
             .record(opts.record)
             .build()
             .unwrap()
             .solve(&a, &b, &mut y)
             .unwrap();
-        out.push(("cg", hash(&x), hash(&y)));
+        out.push(row("cg", (&x, &[one_shot]), (&y, &[via_session])));
     }
     {
         let opts = FcgOptions {
@@ -404,7 +554,7 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        try_fcg_solve(&a, &b, &mut x, &IdentityPrecond, &opts).unwrap();
+        let one_shot = try_fcg_solve(&a, &b, &mut x, &IdentityPrecond, &opts).unwrap();
         let mut y = vec![0.0; n];
         let mut builder = SolverBuilder::new(SolverFamily::Fcg)
             .preconditioner(PrecondSpec::Identity)
@@ -414,16 +564,16 @@ fn fingerprints() -> Vec<(&'static str, u64, u64)> {
         if let Some(every) = opts.restart_every {
             builder = builder.restart_every(every);
         }
-        builder.build().unwrap().solve(&a, &b, &mut y).unwrap();
-        out.push(("fcg", hash(&x), hash(&y)));
+        let via_session = builder.build().unwrap().solve(&a, &b, &mut y).unwrap();
+        out.push(row("fcg", (&x, &[one_shot]), (&y, &[via_session])));
     }
     out
 }
 
 /// Run the `rgs_weighted` and `asyrgs_block_t1` solves again on
-/// `diag_dominant(150, 5, 2.0, 7)` and hash each final iterate: the name,
-/// the `try_*` hash, then the session hash.
-fn off_power_of_two_fingerprints() -> Vec<(&'static str, u64, u64)> {
+/// `diag_dominant(150, 5, 2.0, 7)` and hash each final iterate and report
+/// through the `try_*` one-shot and the session.
+fn off_power_of_two_fingerprints() -> Vec<Row> {
     let a = diag_dominant(150, 5, 2.0, 7);
     let n = a.n_rows();
     let b = a.matvec(&vec![1.0; n]);
@@ -435,10 +585,14 @@ fn off_power_of_two_fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        try_rgs_solve(&a, &b, &mut x, None, &opts).unwrap();
+        let one_shot = try_rgs_solve(&a, &b, &mut x, None, &opts).unwrap();
         let mut y = vec![0.0; n];
-        rgs_session(&opts).solve(&a, &b, &mut y).unwrap();
-        out.push(("rgs_weighted_dd", hash(&x), hash(&y)));
+        let via_session = rgs_session(&opts).solve(&a, &b, &mut y).unwrap();
+        out.push(row(
+            "rgs_weighted_dd",
+            (&x, &[one_shot]),
+            (&y, &[via_session]),
+        ));
     }
     {
         let k = 2;
@@ -451,12 +605,12 @@ fn off_power_of_two_fingerprints() -> Vec<(&'static str, u64, u64)> {
             ..Default::default()
         };
         let mut x_blk = RowMajorMat::zeros(n, k);
-        try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
-        let y_blk = solve_many_packed(&mut asyrgs_session(&opts), &a, &b_blk);
-        out.push((
+        let one_shot = try_asyrgs_solve_block(&a, &b_blk, &mut x_blk, &opts).unwrap();
+        let (y_blk, via_session) = solve_many_packed(&mut asyrgs_session(&opts), &a, &b_blk);
+        out.push(row(
             "asyrgs_block_t1_dd",
-            hash(x_blk.as_slice()),
-            hash(y_blk.as_slice()),
+            (x_blk.as_slice(), &[one_shot]),
+            (y_blk.as_slice(), &via_session),
         ));
     }
     out
@@ -468,8 +622,8 @@ fn off_power_of_two_fingerprints() -> Vec<(&'static str, u64, u64)> {
 /// FCG runs on `laplace2d(12, 12)` with `b_i = (i mod 7) - 3`; GMRES and
 /// BiCGSTAB run on the `conv_diff_pe_low` scenario, with the sweeps over
 /// its symmetric part. `bicgstab_rgs2` is the fixed-operator path
-/// (`Preconditioner::apply_fixed`).
-fn preconditioned_fingerprints() -> Vec<(&'static str, u64, u64)> {
+/// (`Preconditioner::apply_fixed`). Each report is hashed the same way.
+fn preconditioned_fingerprints() -> Vec<Row> {
     let term = Termination::sweeps(200).with_target(1e-8);
     let record = Recording::every(1);
     let seed = 0x5EED;
@@ -531,14 +685,14 @@ fn preconditioned_fingerprints() -> Vec<(&'static str, u64, u64)> {
         };
         let pre = SpecPrecond::new(inner, spec, 1, 1.0, seed, &pool, &scratch).unwrap();
         let mut x = vec![0.0; m.n_rows()];
-        match family {
+        let one_shot = match family {
             SolverFamily::Fcg => try_fcg_solve(m, rhs, &mut x, &pre, &fcg),
             SolverFamily::Gmres => try_gmres_solve(m, rhs, &mut x, &pre, &gmres),
             _ => try_bicgstab_solve(m, rhs, &mut x, &pre, &bicgstab),
         }
         .unwrap();
         let mut y = vec![0.0; m.n_rows()];
-        SolverBuilder::new(family)
+        let via_session = SolverBuilder::new(family)
             .preconditioner(spec)
             .threads(1)
             .seed(seed)
@@ -548,51 +702,60 @@ fn preconditioned_fingerprints() -> Vec<(&'static str, u64, u64)> {
             .unwrap()
             .solve(m, rhs, &mut y)
             .unwrap();
-        out.push((name, hash(&x), hash(&y)));
+        out.push(row(name, (&x, &[one_shot]), (&y, &[via_session])));
     }
     out
 }
 
 /// Assert every computed `(name, one_shot, session)` row against
-/// `expected`; on a mismatch print the whole table, one column per route.
-fn assert_unchanged(got: &[(&str, u64, u64)], expected: &[(&str, u64)], one_shot_route: &str) {
-    let names: Vec<&str> = got.iter().map(|&(name, _, _)| name).collect();
-    let want: Vec<&str> = expected.iter().map(|&(name, _)| name).collect();
-    assert_eq!(names, want, "fingerprint order changed");
-    let moved = got
-        .iter()
-        .zip(expected)
-        .any(|(&(_, one_shot, session), &(_, expected))| {
-            one_shot != expected || session != expected
-        });
-    if moved {
-        let mut table =
-            format!("path                 expected          {one_shot_route:<17} session\n");
-        for (&(name, one_shot, session), &(_, expected)) in got.iter().zip(expected) {
-            let mark = if one_shot == expected && session == expected {
+/// `expected`, which pins each route's value; on a mismatch print the
+/// whole table, the expected then the computed value of each route.
+fn assert_unchanged(
+    what: &str,
+    got: &[(&str, u64, u64)],
+    expected: &[(&str, u64, u64)],
+    one_shot_route: &str,
+) {
+    let names: Vec<&str> = got.iter().map(|r| r.0).collect();
+    let want: Vec<&str> = expected.iter().map(|r| r.0).collect();
+    assert_eq!(names, want, "{what} order changed");
+    if got != expected {
+        let mut table = format!("path                 {one_shot_route:<34} session\n");
+        for (&(name, one_shot, session), &(_, want_one_shot, want_session)) in
+            got.iter().zip(expected)
+        {
+            let mark = if (one_shot, session) == (want_one_shot, want_session) {
                 ""
             } else {
                 "  <- differs"
             };
             table.push_str(&format!(
-                "{name:<20} {expected:016x}  {one_shot:016x}  {session:016x}{mark}\n"
+                "{name:<20} {want_one_shot:016x} {one_shot:016x}  \
+                 {want_session:016x} {session:016x}{mark}\n"
             ));
         }
         panic!(
-            "solver fingerprints moved; rcd and async_rcd_t1 also depend on \
-             the platform's libm (see the module docs):\n{table}"
+            "{what} moved; rcd and async_rcd_t1 also depend on the \
+             platform's libm (see the module docs):\n{table}"
         );
     }
 }
 
+/// Assert both routes' iterate hashes against one committed table.
+fn assert_iterates(rows: &[Row], expected: &[(&str, u64)], one_shot_route: &str) {
+    let got: Vec<_> = rows.iter().map(|r| (r.name, r.x.0, r.x.1)).collect();
+    let expected: Vec<_> = expected.iter().map(|&(name, h)| (name, h, h)).collect();
+    assert_unchanged("solver fingerprints", &got, &expected, one_shot_route);
+}
+
 #[test]
 fn fifteen_fingerprints_are_bitwise_unchanged() {
-    assert_unchanged(&fingerprints(), &EXPECTED, "try_*");
+    assert_iterates(&fingerprints(), &EXPECTED, "try_*");
 }
 
 #[test]
 fn off_power_of_two_diagonal_fingerprints_are_bitwise_unchanged() {
-    assert_unchanged(
+    assert_iterates(
         &off_power_of_two_fingerprints(),
         &EXPECTED_OFF_POWER_OF_TWO,
         "try_*",
@@ -601,9 +764,24 @@ fn off_power_of_two_diagonal_fingerprints_are_bitwise_unchanged() {
 
 #[test]
 fn preconditioned_fingerprints_are_bitwise_unchanged() {
-    assert_unchanged(
+    assert_iterates(
         &preconditioned_fingerprints(),
         &EXPECTED_PRECONDITIONED,
         "SpecPrecond",
     );
+}
+
+#[test]
+fn twenty_three_reports_are_bitwise_unchanged() {
+    let rows = [
+        fingerprints(),
+        off_power_of_two_fingerprints(),
+        preconditioned_fingerprints(),
+    ];
+    let got: Vec<_> = rows
+        .iter()
+        .flatten()
+        .map(|r| (r.name, r.report.0, r.report.1))
+        .collect();
+    assert_unchanged("solver reports", &got, &EXPECTED_REPORTS, "one-shot");
 }
