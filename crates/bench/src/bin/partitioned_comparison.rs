@@ -76,7 +76,7 @@ fn main() {
         let t_p = asyrgs_time_throughput(&g, &partitioned_model, sweeps, 64, 1);
         println!(
             "{threads},{:.6e},{:.6e},{t_u:.6e},{t_p:.6e}",
-            unr.final_rel_residual, part.report.final_rel_residual
+            unr.final_rel_residual, part.final_rel_residual
         );
     }
     eprintln!(

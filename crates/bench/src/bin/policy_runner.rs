@@ -22,10 +22,9 @@
 //! `ASYRGS_THREADS=N` — global pool width.
 
 use asyrgs::policy::{decide_for, FAMILIES};
-use asyrgs::session::{PrecondSpec, SolverBuilder, SolverFamily};
-use asyrgs_bench::obj;
+use asyrgs::session::{PrecondSpec, SolverFamily};
 use asyrgs_bench::report::{residual_status, Json, Report};
-use asyrgs_core::driver::{Recording, Termination};
+use asyrgs_bench::{obj, scenario_session};
 use asyrgs_core::lsq::LsqOperator;
 use asyrgs_workloads::scenarios::{
     all_scenarios, smoke_scenarios, Expectation, Scenario, ScenarioClass,
@@ -50,18 +49,12 @@ fn best_available(sc: &Scenario) -> Expectation {
         .unwrap()
 }
 
-/// Run one `scenario x family` cell under the exact `scenario_runner`
-/// harness (threads 2, record every iteration, non-finite-only watchdog)
-/// and return (iterations-to-tolerance, final relative residual).
+/// Run one `scenario x family` cell in `scenario_runner`'s cell session
+/// ([`scenario_session`]) and return (iterations-to-tolerance, final
+/// relative residual).
 fn run_cell(sc: &Scenario, family: SolverFamily) -> (Option<u64>, f64) {
     let built = sc.build();
-    let mut session = SolverBuilder::new(family)
-        .threads(2)
-        .term(Termination::sweeps(sc.sweeps).with_target(sc.tol * 0.5))
-        .record(Recording::every(1))
-        .health(asyrgs_core::health::HealthConfig::non_finite_only())
-        .build()
-        .expect("registry configurations are valid");
+    let mut session = scenario_session(sc, family);
     let mut x = vec![0.0; built.a.n_cols()];
     let result = if matches!(family, SolverFamily::Rcd) {
         let op = LsqOperator::new(built.a.clone());
@@ -184,11 +177,7 @@ fn evaluate(report: &mut Report, sc: &Scenario) -> (Json, bool) {
 
     let row = obj! {
         "scenario": name,
-        "class": match sc.class {
-            ScenarioClass::SquareSpd => "square_spd",
-            ScenarioClass::SquareNonsym => "square_nonsym",
-            ScenarioClass::LeastSquares => "least_squares",
-        },
+        "class": sc.class.name(),
         "family": picked.name(),
         "rule": d.rule,
         "precond": precond_name(d.precond),

@@ -24,8 +24,8 @@
 //! `ASYRGS_THREADS=N` — global pool width.
 
 use asyrgs::session::{PrecondSpec, SolverBuilder, SolverFamily};
-use asyrgs_bench::obj;
 use asyrgs_bench::report::{residual_status, Json, Report};
+use asyrgs_bench::{obj, scenario_session};
 use asyrgs_core::driver::{Recording, Termination};
 use asyrgs_core::error::SolveError;
 use asyrgs_core::lsq::LsqOperator;
@@ -95,17 +95,7 @@ fn run_cell<O: RowAccess + Sync>(
     lsq: Option<&LsqOperator>,
 ) -> (Json, bool) {
     let family = family_of(family_name);
-    // Non-finite-only watchdog: MayDiverge cells that blow up trip with
-    // a typed error instead of running their whole sweep budget on NaNs.
-    // (No divergence/stall heuristics here — a trajectory tracker must
-    // not cut off slow-but-finite cells.)
-    let mut session = SolverBuilder::new(family)
-        .threads(THREADS)
-        .term(Termination::sweeps(sc.sweeps).with_target(sc.tol * 0.5))
-        .record(Recording::every(1))
-        .health(asyrgs_core::health::HealthConfig::non_finite_only())
-        .build()
-        .expect("registry configurations are valid");
+    let mut session = scenario_session(sc, family);
     let expectation = sc.expectation(family_name);
     let mut x = vec![0.0; a.n_cols()];
     let t = Instant::now();
@@ -238,11 +228,7 @@ fn main() -> ExitCode {
         };
         meta_rows.push(obj! {
             "name": sc.name,
-            "class": match sc.class {
-                ScenarioClass::SquareSpd => "square_spd",
-                ScenarioClass::SquareNonsym => "square_nonsym",
-                ScenarioClass::LeastSquares => "least_squares",
-            },
+            "class": sc.class.name(),
             "n": sc.n,
             "nnz": built.nnz(),
             "seed": sc.seed,

@@ -23,10 +23,32 @@
 //! `scenario_runner`, `policy_runner`, `fault_runner`) write and gate
 //! their output through [`report`].
 
+use asyrgs::session::{SolveSession, SolverBuilder, SolverFamily};
+use asyrgs_core::driver::{Recording, Termination};
+use asyrgs_core::health::HealthConfig;
 use asyrgs_sparse::CsrMatrix;
+use asyrgs_workloads::scenarios::Scenario;
 
 pub mod report;
 use asyrgs_workloads::{gram_matrix, GramParams, GramProblem};
+
+/// The session of one `scenario x family` cell of the corpus runners, so
+/// `scenario_runner`'s cells and `policy_runner`'s picked and best cells
+/// run one configuration: 2 threads, the scenario's sweep budget with a
+/// target of half its tolerance, a record every sweep, and a
+/// non-finite-only watchdog. A `may_diverge` cell that blows up then trips
+/// with a typed error instead of running its budget on NaNs; there is no
+/// divergence or stall heuristic, which could cut off a slow but finite
+/// cell.
+pub fn scenario_session(sc: &Scenario, family: SolverFamily) -> SolveSession {
+    SolverBuilder::new(family)
+        .threads(2)
+        .term(Termination::sweeps(sc.sweeps).with_target(sc.tol * 0.5))
+        .record(Recording::every(1))
+        .health(HealthConfig::non_finite_only())
+        .build()
+        .expect("registry configurations are valid")
+}
 
 pub mod harness {
     //! A minimal timing harness for the `benches/` targets (the container

@@ -25,9 +25,9 @@
 //!   [`crate::theory::optimal_beta_consistent`] and
 //!   [`crate::theory::optimal_beta_inconsistent`] for the tuned values.
 //!
-//! Workers are generic over [`RowAccess`]; stopping and telemetry (at epoch
-//! boundaries, the only points where the shared iterate is quiescent) route
-//! through the shared [`crate::driver`].
+//! Workers are generic over [`RowAccess`]. The crate's one epoch loop runs
+//! them and, at epoch boundaries (the only points where the shared iterate
+//! is quiescent), observes through the shared [`crate::driver`].
 //!
 //! This is the crate's only Gauss-Seidel solve loop. Sequential RGS
 //! ([`crate::rgs`]) is Algorithm 1 run by one processor, so it is this
@@ -44,14 +44,15 @@ use crate::driver::{
     ensure_square_block_system, ensure_square_system, ensure_threads, inverse_diag_into, Driver,
     Recording, Termination,
 };
+use crate::epochs::{self, epoch_len, Epoch, Plan, Scratch, Update};
 use crate::error::SolveError;
-use crate::health::{HealthConfig, HealthMonitor};
+use crate::health::HealthConfig;
 use crate::report::SolveReport;
 use crate::rgs::{walk_rows, Directions, RowSampling};
 use crate::workspace::{resize_scratch, resize_scratch_mat, SolveWorkspace};
 use asyrgs_parallel::{FaultPlan, WorkerPool};
 use asyrgs_rng::DrawBuffer;
-use asyrgs_sparse::dense::{self, RowMajorMat};
+use asyrgs_sparse::dense::RowMajorMat;
 use asyrgs_sparse::{CsrMatrix, LinearOperator, RowAccess};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -149,28 +150,6 @@ impl Default for AsyRgsOptions {
             fault_plan: None,
         }
     }
-}
-
-/// The synchronization interval actually used: the user's `epoch_sweeps`
-/// when given; otherwise one free-running epoch over the whole budget —
-/// unless a residual target or wall-clock budget needs sweep-granularity
-/// boundaries to be honored (they can only fire at synchronization
-/// points). A watchdog forces one-sweep epochs regardless: health checks
-/// only happen at quiescent points, and one-sweep granularity bounds
-/// detection latency at a single epoch.
-fn effective_epoch(opts: &AsyRgsOptions) -> usize {
-    if opts.health.is_some() {
-        return 1;
-    }
-    opts.epoch_sweeps
-        .unwrap_or_else(|| {
-            if opts.term.target_rel_residual.is_some() || opts.term.wall_clock.is_some() {
-                1
-            } else {
-                opts.term.max_sweeps
-            }
-        })
-        .max(1)
 }
 
 /// Pick the per-worker claim batch for an epoch of `epoch_iters`
@@ -327,179 +306,46 @@ pub fn asyrgs_solve_in<O: RowAccess + Sync>(
     let n = a.n_rows();
     a.diag_into(&mut ws.diag);
     inverse_diag_into(&ws.diag, &mut ws.dinv)?;
-    let dinv = &ws.dinv;
     let ds = Directions::new(opts.sampling, opts.seed, n, &ws.diag);
-    let norm_b = dense::norm2(b).max(f64::MIN_POSITIVE);
-    let norm_xs_a = x_star.map(|xs| a.a_norm(xs).max(f64::MIN_POSITIVE));
-
-    let epoch_sweeps = effective_epoch(opts);
-    let counter = AtomicU64::new(0);
+    ws.draws.resize(DrawBuffer::DEFAULT_CAPACITY, 0);
+    let (scratch, dinv, _, draws) = Scratch::split(ws);
     let commits = AtomicU64::new(0);
     let max_delay = AtomicU64::new(0);
     let lock = match opts.read_mode {
         ReadMode::Inconsistent => None,
         ReadMode::LockedConsistent => Some(RwLock::new(())),
     };
-    let mut driver = Driver::new(&opts.term, opts.record);
-    let mut sweeps_done = 0usize;
-    // Observation scratch, reused across every epoch boundary (and across
-    // solves): the iterate snapshot, the residual buffer (doubling as the
-    // A-norm matvec scratch), and the error diff. One thread iterates on
-    // the snapshot buffer itself, so `x` is written only at the end and a
-    // watchdog trip leaves it untouched; more share `ws.shared`. The choice
-    // follows the thread count asked for, not the one left after a killed
-    // worker, which still shares the iterate.
-    let one_thread = opts.threads == 1;
-    resize_scratch(&mut ws.snap, n);
-    resize_scratch(&mut ws.resid, n);
-    if x_star.is_some() {
-        resize_scratch(&mut ws.diff, n);
-    }
-    if one_thread {
-        ws.snap.copy_from_slice(x);
-        ws.draws.resize(DrawBuffer::DEFAULT_CAPACITY, 0);
+    // One thread walks each epoch inline over a plain iterate; more share
+    // one. The choice follows the thread count asked for, not the one left
+    // after a killed worker, which still shares the iterate.
+    let mut walk = |x: &mut [f64], e: &Epoch| {
+        let (start, limit) = e.range;
+        one_thread_walk(a, b, x, dinv, &ds, draws, start, limit, opts.beta);
+    };
+    let share = |_: usize, x: &SharedVec, e: &Epoch| {
+        let (start, limit) = e.range;
+        let claim = claim_batch(limit - start, e.threads);
+        let (beta, mode, lock) = (opts.beta, opts.write_mode, lock.as_ref());
+        worker(
+            a, b, x, dinv, &ds, &e.claims, limit, claim, beta, mode, lock, &commits, &max_delay,
+        );
+    };
+    let plan = Plan {
+        pool,
+        threads: opts.threads,
+        cadence: opts.epoch_sweeps,
+        claims_per_sweep: n as u64,
+        term: &opts.term,
+        record: opts.record,
+        health: opts.health.as_ref().map(|h| ("asyrgs_solve", h)),
+        faults: opts.fault_plan.as_ref(),
+    };
+    let update = if opts.threads == 1 {
+        Update::Inline(&mut walk)
     } else {
-        ws.shared.reset_from(x);
-    }
-    let shared = &ws.shared;
-    let snap = &mut ws.snap;
-    let resid = &mut ws.resid;
-    let diff = &mut ws.diff;
-    let draws = &mut ws.draws;
-    let healthy = &mut ws.healthy;
-
-    let mut monitor = opts.health.as_ref().map(|c| HealthMonitor::new(c.clone()));
-    let fault_plan = opts.fault_plan.as_ref().filter(|p| !p.is_empty());
-    // A killed worker (injected or real) degrades the solve to fewer
-    // threads when a watchdog is armed; without one the panic propagates
-    // unchanged, as `WorkerPool::run` documents.
-    let mut threads_now = opts.threads;
-    let mut epoch: u64 = 0;
-
-    while sweeps_done < driver.max_sweeps() {
-        let sweeps_this_epoch = epoch_sweeps.min(driver.max_sweeps() - sweeps_done);
-        let start = (sweeps_done as u64) * (n as u64);
-        sweeps_done += sweeps_this_epoch;
-        let limit = (sweeps_done as u64) * (n as u64);
-        let claim = claim_batch((sweeps_this_epoch as u64) * (n as u64), threads_now);
-        let round = epoch;
-        // One round per epoch. On the pool, round completion is the
-        // synchronization point; one thread walks the epoch inline. Fault
-        // hooks fire at the start of each worker's round on both.
-        let mut run_round = |p: usize| {
-            if one_thread {
-                if let Some(plan) = fault_plan {
-                    plan.apply_pool_faults(0, round);
-                    if let Some(idx) = plan.poison_for(0, round) {
-                        if idx < n {
-                            snap[idx] = f64::NAN;
-                        }
-                    }
-                }
-                one_thread_walk(a, b, snap, dinv, &ds, draws, start, limit, opts.beta);
-            } else {
-                pool.run(p, |w| {
-                    if let Some(plan) = fault_plan {
-                        plan.apply_pool_faults(w, round);
-                        if let Some(idx) = plan.poison_for(w, round) {
-                            if idx < n {
-                                shared.store(idx, f64::NAN);
-                            }
-                        }
-                    }
-                    worker(
-                        a,
-                        b,
-                        shared,
-                        dinv,
-                        &ds,
-                        &counter,
-                        limit,
-                        claim,
-                        opts.beta,
-                        opts.write_mode,
-                        lock.as_ref(),
-                        &commits,
-                        &max_delay,
-                    )
-                });
-            }
-        };
-        if monitor.is_some() {
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_round(threads_now)))
-                .is_err()
-            {
-                // The pool survives a worker panic and the surviving
-                // workers drain the epoch's claim range; continue on the
-                // remaining threads.
-                threads_now = threads_now.saturating_sub(1).max(1);
-            }
-        } else {
-            run_round(threads_now);
-        }
-        if !one_thread {
-            // Exiting workers overshoot the claim counter by up to one
-            // claim batch each; reset it to the exact epoch boundary while
-            // they are quiescent so the next epoch misses no iteration.
-            counter.store(limit, Ordering::Relaxed);
-        }
-        epoch += 1;
-        // Synchronized: observe telemetry through the driver (scratch
-        // buffers reused, nothing allocated). The residual runs on the
-        // solve's own workers, bitwise equal to the serial one; its norm
-        // stays serial, in the same order.
-        let stop = if let Some(mon) = monitor.as_mut() {
-            // Watchdog path: the residual is needed every epoch anyway, so
-            // compute it eagerly, run the health checks (a trip returns a
-            // typed error with `x` untouched — it is only written below,
-            // after the loop), and feed the driver the precomputed values.
-            if !one_thread {
-                shared.snapshot_into(snap);
-            }
-            mon.check_iterate("asyrgs_solve", round as usize, snap)?;
-            a.par_residual_into_on(pool, threads_now, b, snap, resid);
-            let rel = dense::norm2(resid) / norm_b;
-            mon.observe_residual(round as usize, rel)?;
-            healthy.clear();
-            healthy.extend_from_slice(snap);
-            let err = x_star.map(|xs| {
-                for ((di, si), xsi) in diff.iter_mut().zip(snap.iter()).zip(xs) {
-                    *di = si - xsi;
-                }
-                a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-            });
-            driver.observe_lazy(sweeps_done, limit, || (rel, err))
-        } else {
-            driver.observe_lazy(sweeps_done, limit, || {
-                if !one_thread {
-                    shared.snapshot_into(snap);
-                }
-                a.par_residual_into_on(pool, threads_now, b, snap, resid);
-                let rel = dense::norm2(resid) / norm_b;
-                let err = x_star.map(|xs| {
-                    for ((di, si), xsi) in diff.iter_mut().zip(snap.iter()).zip(xs) {
-                        *di = si - xsi;
-                    }
-                    a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-                });
-                (rel, err)
-            })
-        };
-        if stop {
-            break;
-        }
-    }
-
-    if one_thread {
-        x.copy_from_slice(snap);
-    } else {
-        shared.snapshot_into(x);
-    }
-    let iterations = (sweeps_done as u64) * (n as u64);
-    let mut report = driver.finish(iterations, threads_now, || {
-        a.residual_into(b, x, resid);
-        dense::norm2(resid) / norm_b
-    });
+        Update::Pool(&share)
+    };
+    let mut report = epochs::run(&plan, scratch, a, b, x, x_star, update)?;
     report.max_observed_delay = Some(max_delay.load(Ordering::Relaxed));
     Ok(report)
 }
@@ -677,7 +523,7 @@ pub fn asyrgs_solve_block_in(
     let ds = Directions::new(opts.sampling, opts.seed, n, &ws.diag);
     let norm_b = b.frobenius_norm().max(f64::MIN_POSITIVE);
 
-    let epoch_sweeps = effective_epoch(opts);
+    let epoch_sweeps = epoch_len(opts.epoch_sweeps, &opts.term, opts.health.is_some());
     let counter = AtomicU64::new(0);
     let lock = match opts.read_mode {
         ReadMode::Inconsistent => None,

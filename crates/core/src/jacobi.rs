@@ -20,21 +20,24 @@
 //! on a non-diagonally-dominant SPD matrix, async Jacobi diverges while
 //! AsyRGS converges.
 //!
-//! Both solvers are generic over [`RowAccess`] and route stopping and
-//! telemetry through the shared [`crate::driver`].
+//! Both solvers are generic over [`RowAccess`]. The crate's one epoch loop
+//! runs their sweeps (the synchronous one inline, one per epoch) and
+//! observes through the shared [`crate::driver`] at epoch boundaries.
 
+use crate::atomic::SharedVec;
 use crate::driver::{
     ensure_damping, ensure_finite_system, ensure_square_system, ensure_threads,
-    inverse_diag_nonzero_into, Driver, Recording, Termination,
+    inverse_diag_nonzero_into, Recording, Termination,
 };
+use crate::epochs::{self, inline_pool, Epoch, Plan, Scratch, Update};
 use crate::error::SolveError;
-use crate::health::{HealthConfig, HealthMonitor};
+use crate::health::HealthConfig;
 use crate::report::SolveReport;
 use crate::workspace::{resize_scratch, SolveWorkspace};
 use asyrgs_parallel::{FaultPlan, WorkerPool};
 use asyrgs_sparse::dense;
 use asyrgs_sparse::{CsrMatrix, RowAccess};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Options for the Jacobi solvers.
 #[derive(Debug, Clone)]
@@ -51,9 +54,8 @@ pub struct JacobiOptions {
     /// point (each sweep for the synchronous solver, each epoch boundary
     /// for the asynchronous one). `None` (the default) leaves both solve
     /// paths bitwise unchanged. When set, the asynchronous epoch length is
-    /// forced to one sweep, the synchronous solver iterates on workspace
-    /// scratch instead of `x` in place, and a trip surfaces as a typed
-    /// [`SolveError`] with `x` left untouched.
+    /// forced to one sweep, and a trip surfaces as a typed [`SolveError`]
+    /// with `x` left untouched.
     pub health: Option<HealthConfig>,
     /// Optional deterministic fault-injection schedule (tests and the
     /// fault harness), honored by the asynchronous solver only. `None`
@@ -105,78 +107,32 @@ pub fn jacobi_solve_in<O: RowAccess>(
     ensure_finite_system("jacobi_solve", a, b, x)?;
     let n = a.n_rows();
     prepare_dinv(a, opts, ws)?;
-    let norm_b = dense::norm2(b).max(f64::MIN_POSITIVE);
-    let norm_xs_a = x_star.map(|xs| a.a_norm(xs).max(f64::MIN_POSITIVE));
-
-    let mut driver = Driver::new(&opts.term, opts.record);
-    let mut monitor = opts.health.as_ref().map(|c| HealthMonitor::new(c.clone()));
-    let guarded = monitor.is_some();
     resize_scratch(&mut ws.aux, n);
-    resize_scratch(&mut ws.resid, n);
-    if x_star.is_some() {
-        resize_scratch(&mut ws.diff, n);
-    }
-    if guarded {
-        resize_scratch(&mut ws.snap, n);
-        ws.snap.copy_from_slice(x);
-    }
-    let dinv = &ws.dinv;
-    let x_new = &mut ws.aux;
-    let resid = &mut ws.resid;
-    let diff = &mut ws.diff;
-    let mut sweeps = 0usize;
-    {
-        // With a watchdog armed, iterate on workspace scratch so a trip
-        // returns a typed error with the caller's `x` bitwise untouched.
-        let xw: &mut [f64] = if guarded {
-            ws.snap.as_mut_slice()
-        } else {
-            &mut *x
-        };
-        for sweep in 1..=driver.max_sweeps() {
-            sweeps = sweep;
-            for i in 0..n {
-                let r = b[i] - a.row_dot(i, xw);
-                x_new[i] = xw[i] + opts.damping * r * dinv[i];
-            }
-            xw.copy_from_slice(x_new);
-            let stop = if let Some(mon) = monitor.as_mut() {
-                // Every sweep is a quiescent point: run the health checks
-                // eagerly and feed the driver the precomputed residual.
-                mon.check_iterate("jacobi_solve", sweep - 1, xw)?;
-                let rel = a.rel_residual_into(b, xw, norm_b, resid);
-                mon.observe_residual(sweep - 1, rel)?;
-                let err = x_star.map(|xs| {
-                    for ((di, xi), xsi) in diff.iter_mut().zip(xw.iter()).zip(xs) {
-                        *di = xi - xsi;
-                    }
-                    a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-                });
-                driver.observe_lazy(sweep, (sweep * n) as u64, || (rel, err))
-            } else {
-                driver.observe_lazy(sweep, (sweep * n) as u64, || {
-                    let rel = a.rel_residual_into(b, xw, norm_b, resid);
-                    let err = x_star.map(|xs| {
-                        for ((di, xi), xsi) in diff.iter_mut().zip(xw.iter()).zip(xs) {
-                            *di = xi - xsi;
-                        }
-                        a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-                    });
-                    (rel, err)
-                })
-            };
-            if stop {
-                break;
-            }
+    let (scratch, dinv, x_new, _) = Scratch::split(ws);
+    // One sweep per epoch, inline on the caller's thread.
+    let mut sweep = |xw: &mut [f64], _: &Epoch| {
+        for i in 0..n {
+            let r = b[i] - a.row_dot(i, xw);
+            x_new[i] = xw[i] + opts.damping * r * dinv[i];
         }
-    }
-    if guarded {
-        x.copy_from_slice(&ws.snap);
-    }
-
-    Ok(driver.finish((sweeps * n) as u64, 1, || {
-        a.rel_residual_into(b, x, norm_b, resid)
-    }))
+        xw.copy_from_slice(x_new);
+    };
+    let plan = Plan {
+        pool: inline_pool(),
+        threads: 1,
+        cadence: Some(1),
+        claims_per_sweep: 1,
+        term: &opts.term,
+        record: opts.record,
+        health: opts.health.as_ref().map(|h| ("jacobi_solve", h)),
+        faults: None,
+    };
+    let report = epochs::run(&plan, scratch, a, b, x, x_star, Update::Inline(&mut sweep));
+    // A recovery retry restarts from the caller's iterate: a sweep that
+    // grows the error by less than the divergence window's factor passes
+    // the watchdog, so the last one passed can be far out on divergence.
+    ws.healthy.clear();
+    report
 }
 
 /// Synchronous (damped) Jacobi: `x_{k+1} = x_k + damping * D^{-1}(b - A x_k)`.
@@ -231,132 +187,41 @@ pub fn async_jacobi_solve_in<O: RowAccess + Sync>(
     ensure_threads(opts.threads)?;
     let n = a.n_rows();
     prepare_dinv(a, opts, ws)?;
-    let norm_b = dense::norm2(b).max(f64::MIN_POSITIVE);
-    let norm_xs_a = x_star.map(|xs| a.a_norm(xs).max(f64::MIN_POSITIVE));
-    ws.shared.reset_from(x);
-
+    let (scratch, dinv, _, _) = Scratch::split(ws);
     const BLOCK: usize = 64;
     let n_blocks = n.div_ceil(BLOCK);
-    let counter = AtomicUsize::new(0);
-
-    let mut driver = Driver::new(&opts.term, opts.record);
-    let mut monitor = opts.health.as_ref().map(|c| HealthMonitor::new(c.clone()));
-    // A watchdog forces one-sweep epochs: checks only happen at quiescent
-    // points, and one-sweep granularity bounds detection latency.
-    let epoch_sweeps = if monitor.is_some() {
-        1
-    } else {
-        epoch_len(&opts.term, opts.record)
-    };
-    let fault_plan = opts.fault_plan.as_ref().filter(|p| !p.is_empty());
-    let mut threads_now = opts.threads;
-    let mut epoch: u64 = 0;
-    let mut sweeps_done = 0usize;
-    resize_scratch(&mut ws.snap, n);
-    resize_scratch(&mut ws.resid, n);
-    if x_star.is_some() {
-        resize_scratch(&mut ws.diff, n);
-    }
-    let dinv = &ws.dinv;
-    let shared = &ws.shared;
-    let snap = &mut ws.snap;
-    let resid = &mut ws.resid;
-    let diff = &mut ws.diff;
-    let healthy = &mut ws.healthy;
-
-    while sweeps_done < driver.max_sweeps() {
-        let this_epoch = epoch_sweeps.min(driver.max_sweeps() - sweeps_done);
-        sweeps_done += this_epoch;
-        let block_limit = n_blocks * sweeps_done;
+    let sweep = |_: usize, x: &SharedVec, e: &Epoch| {
+        let (start, block_limit) = e.range;
         // Claim a run of consecutive blocks per counter RMW; consecutive
         // block indices keep the single-thread sweep order bitwise
         // identical while cutting contended counter traffic.
-        let claim = (this_epoch * n_blocks / (threads_now * 4)).clamp(1, 8);
-        let round = epoch;
-        let run_round = |p: usize| {
-            pool.run(p, |w| {
-                if let Some(plan) = fault_plan {
-                    plan.apply_pool_faults(w, round);
-                    if let Some(idx) = plan.poison_for(w, round) {
-                        if idx < n {
-                            shared.store(idx, f64::NAN);
-                        }
-                    }
-                }
-                loop {
-                    let first = counter.fetch_add(claim, Ordering::Relaxed);
-                    if first >= block_limit {
-                        break;
-                    }
-                    let last = (first + claim).min(block_limit);
-                    for blk in first..last {
-                        let lo = (blk % n_blocks) * BLOCK;
-                        let hi = (lo + BLOCK).min(n);
-                        for i in lo..hi {
-                            let dot = a.row_dot_with(i, |c| shared.load(c));
-                            let xi = shared.load(i);
-                            shared.store(i, xi + opts.damping * (b[i] - dot) * dinv[i]);
-                        }
-                    }
-                }
-            })
-        };
-        if monitor.is_some() {
-            // A killed worker degrades the solve to fewer threads when a
-            // watchdog is armed (the pool survives the panic and the
-            // surviving workers drain the epoch's claim range).
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_round(threads_now)))
-                .is_err()
-            {
-                threads_now = threads_now.saturating_sub(1).max(1);
+        let claim = ((block_limit - start) / (e.threads as u64 * 4)).clamp(1, 8);
+        loop {
+            let first = e.claims.fetch_add(claim, Ordering::Relaxed);
+            if first >= block_limit {
+                break;
             }
-        } else {
-            run_round(threads_now);
-        }
-        // Exiting workers overshoot the claim counter by up to one claim
-        // batch each; reset it to the exact boundary while they are
-        // quiescent so the next epoch misses no block.
-        counter.store(block_limit, Ordering::Relaxed);
-        epoch += 1;
-        let stop = if let Some(mon) = monitor.as_mut() {
-            // Watchdog path: checks run eagerly at the quiescent boundary;
-            // a trip returns a typed error with `x` untouched (it is only
-            // written after the loop).
-            shared.snapshot_into(snap);
-            mon.check_iterate("async_jacobi_solve", round as usize, snap)?;
-            let rel = a.rel_residual_into(b, snap, norm_b, resid);
-            mon.observe_residual(round as usize, rel)?;
-            healthy.clear();
-            healthy.extend_from_slice(snap);
-            let err = x_star.map(|xs| {
-                for ((di, si), xsi) in diff.iter_mut().zip(snap.iter()).zip(xs) {
-                    *di = si - xsi;
+            for blk in first..(first + claim).min(block_limit) {
+                let lo = (blk as usize % n_blocks) * BLOCK;
+                for i in lo..(lo + BLOCK).min(n) {
+                    let dot = a.row_dot_with(i, |c| x.load(c));
+                    let xi = x.load(i);
+                    x.store(i, xi + opts.damping * (b[i] - dot) * dinv[i]);
                 }
-                a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-            });
-            driver.observe_lazy(sweeps_done, (sweeps_done * n) as u64, || (rel, err))
-        } else {
-            driver.observe_lazy(sweeps_done, (sweeps_done * n) as u64, || {
-                shared.snapshot_into(snap);
-                let rel = a.rel_residual_into(b, snap, norm_b, resid);
-                let err = x_star.map(|xs| {
-                    for ((di, si), xsi) in diff.iter_mut().zip(snap.iter()).zip(xs) {
-                        *di = si - xsi;
-                    }
-                    a.a_norm_into(diff, resid) / norm_xs_a.unwrap()
-                });
-                (rel, err)
-            })
-        };
-        if stop {
-            break;
+            }
         }
-    }
-
-    shared.snapshot_into(x);
-    Ok(driver.finish((sweeps_done * n) as u64, threads_now, || {
-        a.rel_residual_into(b, x, norm_b, resid)
-    }))
+    };
+    let plan = Plan {
+        pool,
+        threads: opts.threads,
+        cadence: Some(opts.record.every).filter(|&k| k > 0),
+        claims_per_sweep: n_blocks as u64,
+        term: &opts.term,
+        record: opts.record,
+        health: opts.health.as_ref().map(|h| ("async_jacobi_solve", h)),
+        faults: opts.fault_plan.as_ref(),
+    };
+    epochs::run(&plan, scratch, a, b, x, x_star, Update::Pool(&sweep))
 }
 
 /// Asynchronous Jacobi (chaotic relaxation); see [`async_jacobi_solve_in`]
@@ -381,20 +246,6 @@ pub fn try_async_jacobi_solve<O: RowAccess + Sync>(
         x_star,
         opts,
     )
-}
-
-/// How many sweeps the lock-free solvers run between synchronization
-/// points: the recording cadence when one is set, otherwise one sweep when
-/// a residual target or time budget needs checking, otherwise the whole
-/// sweep budget in a single free-running epoch.
-pub(crate) fn epoch_len(term: &Termination, record: Recording) -> usize {
-    if record.every > 0 {
-        record.every
-    } else if term.target_rel_residual.is_some() || term.wall_clock.is_some() {
-        1
-    } else {
-        term.max_sweeps.max(1)
-    }
 }
 
 /// Estimate the Chazan-Miranker quantity `rho(|M|)` with

@@ -13,6 +13,8 @@
 //!   occasional-synchronization epochs, and step-size control (Section 6);
 //!   at one thread it runs on the caller's thread over a plain iterate,
 //!   which is sequential RGS, single and multi-RHS;
+//! * [`jacobi`] and [`partitioned`] — synchronous and asynchronous
+//!   (Chazan-Miranker) Jacobi, and AsyRGS with single-owner row blocks;
 //! * [`rgs`] — sequential Randomized Gauss-Seidel (the synchronous
 //!   baseline, Section 3) as a name for AsyRGS on one thread, plus the row
 //!   sampling and direction streams both share;
@@ -23,6 +25,10 @@
 //! * [`atomic`] — the `AtomicF64` / shared-vector substrate implementing
 //!   Assumption A-1;
 //! * [`report`] — solve telemetry.
+//!
+//! AsyRGS, both Jacobis, the partitioned solver and asynchronous RCD keep
+//! their validation, setup and update bodies; one private epoch loop runs
+//! them and owns their quiescent points: observation, watchdog and report.
 //!
 //! The solvers are generic over the operator traits in `asyrgs-sparse`
 //! ([`asyrgs_sparse::LinearOperator`] / [`asyrgs_sparse::RowAccess`]), so
@@ -54,6 +60,7 @@
 pub mod asyrgs;
 pub mod atomic;
 pub mod driver;
+mod epochs;
 pub mod error;
 pub mod health;
 pub mod jacobi;
@@ -80,9 +87,7 @@ pub use lsq::{
     async_rcd_solve_in, rcd_solve_in, try_async_rcd_solve, try_rcd_solve, LsqOperator,
     LsqSolveOptions,
 };
-pub use partitioned::{
-    partitioned_solve_in, try_partitioned_solve, PartitionedOptions, PartitionedReport,
-};
+pub use partitioned::{partitioned_solve_in, try_partitioned_solve, PartitionedOptions};
 pub use report::{RecoveryAttempt, SolveReport, SweepRecord};
 pub use rgs::{try_rgs_solve, RgsOptions, RowSampling};
 pub use theory::ProblemParams;

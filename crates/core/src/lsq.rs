@@ -21,13 +21,16 @@
 //! `||A e_j||_2^2`, which reduces to the paper's iteration for unit-norm
 //! columns.
 //!
-//! Stopping and telemetry route through the shared [`crate::driver`].
+//! Stopping and telemetry route through the shared [`crate::driver`]; the
+//! asynchronous variant's worker runs in the crate's one epoch loop.
 
+use crate::asyrgs::claim_batch;
 use crate::atomic::SharedVec;
 use crate::driver::{
     ensure_beta, ensure_finite_matrix, ensure_finite_slice, ensure_threads, Driver, Recording,
     Termination,
 };
+use crate::epochs::{self, Epoch, Plan, Scratch, Update};
 use crate::error::SolveError;
 use crate::report::SolveReport;
 use crate::workspace::{resize_scratch, SolveWorkspace};
@@ -287,44 +290,31 @@ pub fn async_rcd_solve_in(
     ensure_threads(opts.threads)?;
     let n = op.n_cols();
     let ds = DirectionStream::new(opts.seed, n);
-    ws.shared.reset_from(x);
-    let shared = &ws.shared;
-    let counter = AtomicU64::new(0);
-    let norm_b = dense::norm2(b).max(f64::MIN_POSITIVE);
-
-    let mut driver = Driver::new(&opts.term, opts.record);
-    let epoch_sweeps = crate::jacobi::epoch_len(&opts.term, opts.record);
-    let mut sweeps_done = 0usize;
-    resize_scratch(&mut ws.snap, n);
-    resize_scratch(&mut ws.resid, op.n_rows());
-    let snap = &mut ws.snap;
-    let resid = &mut ws.resid;
-
-    while sweeps_done < driver.max_sweeps() {
-        let this_epoch = epoch_sweeps.min(driver.max_sweeps() - sweeps_done);
-        sweeps_done += this_epoch;
-        let limit = (sweeps_done as u64) * (n as u64);
-        let claim = crate::asyrgs::claim_batch((this_epoch as u64) * (n as u64), opts.threads);
-        pool.run(opts.threads, |_| {
-            lsq_worker(op, b, shared, &ds, &counter, limit, claim, opts.beta)
-        });
-        // Exiting workers overshoot the claim counter by up to one claim
-        // batch each; reset it to the exact epoch boundary while they are
-        // quiescent so the next epoch misses no iteration.
-        counter.store(limit, Ordering::Relaxed);
-        let stop = driver.observe_lazy(sweeps_done, limit, || {
-            shared.snapshot_into(snap);
-            op.a.residual_into(b, snap, resid);
-            (dense::norm2(resid) / norm_b, None)
-        });
-        if stop {
-            break;
-        }
-    }
-
-    shared.snapshot_into(x);
-    let iterations = (sweeps_done as u64) * (n as u64);
-    Ok(driver.finish_computed(iterations, opts.threads, op.rel_residual(b, x)))
+    let (scratch, _, _, _) = Scratch::split(ws);
+    let update = |_: usize, x: &SharedVec, e: &Epoch| {
+        let (start, limit) = e.range;
+        let claim = claim_batch(limit - start, e.threads);
+        lsq_worker(op, b, x, &ds, &e.claims, limit, claim, opts.beta);
+    };
+    let plan = Plan {
+        pool,
+        threads: opts.threads,
+        cadence: Some(opts.record.every).filter(|&k| k > 0),
+        claims_per_sweep: n as u64,
+        term: &opts.term,
+        record: opts.record,
+        health: None,
+        faults: None,
+    };
+    epochs::run(
+        &plan,
+        scratch,
+        op.matrix(),
+        b,
+        x,
+        None,
+        Update::Pool(&update),
+    )
 }
 
 /// Asynchronous randomized coordinate descent for least squares,

@@ -27,22 +27,24 @@
 //! uniform-sampling analysis does not apply verbatim; treat this as the
 //! experimental extension it is.
 //!
-//! The solver is generic over [`RowAccess`] and routes stopping and
-//! telemetry through the shared [`crate::driver`] (observed at epoch
-//! boundaries, where all owners are quiescent).
+//! The solver is generic over [`RowAccess`] and keeps its owner loop and
+//! per-sweep barrier; the crate's one epoch loop runs them on the pool and
+//! observes through the shared [`crate::driver`] at epoch boundaries, where
+//! all owners are quiescent.
 
+use crate::atomic::SharedVec;
 use crate::driver::{
     ensure_beta, ensure_finite_system, ensure_square_system, ensure_threads, inverse_diag_into,
-    Driver, Recording, Termination,
+    Recording, Termination,
 };
+use crate::epochs::{self, Epoch, Plan, Scratch, Update};
 use crate::error::SolveError;
 use crate::report::SolveReport;
-use crate::workspace::{resize_scratch, SolveWorkspace};
+use crate::workspace::SolveWorkspace;
 use asyrgs_parallel::WorkerPool;
 use asyrgs_rng::Philox4x32;
-use asyrgs_sparse::dense;
 use asyrgs_sparse::RowAccess;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 /// Options for the partitioned solver.
 #[derive(Debug, Clone)]
@@ -72,15 +74,6 @@ impl Default for PartitionedOptions {
     }
 }
 
-/// Result details specific to the partitioned run.
-#[derive(Debug, Clone)]
-pub struct PartitionedReport {
-    /// The generic solve report.
-    pub report: SolveReport,
-    /// Updates performed per block (equal under perfect rate balance).
-    pub block_iterations: Vec<u64>,
-}
-
 /// Block-partitioned AsyRGS on an injected worker pool and caller-owned
 /// [`SolveWorkspace`]: thread `t` owns rows `[t*n/P, (t+1)*n/P)` and
 /// updates only those, sampling uniformly within the block; reads span the
@@ -100,7 +93,7 @@ pub fn partitioned_solve_in<O: RowAccess + Sync>(
     b: &[f64],
     x: &mut [f64],
     opts: &PartitionedOptions,
-) -> Result<PartitionedReport, SolveError> {
+) -> Result<SolveReport, SolveError> {
     ensure_square_system(
         "partitioned_solve",
         a.n_rows(),
@@ -120,83 +113,53 @@ pub fn partitioned_solve_in<O: RowAccess + Sync>(
     ensure_beta(opts.beta)?;
     a.diag_into(&mut ws.diag);
     inverse_diag_into(&ws.diag, &mut ws.dinv)?;
-    let dinv = &ws.dinv;
-
+    let (scratch, dinv, _, _) = Scratch::split(ws);
     let p = opts.threads;
-    ws.shared.reset_from(x);
-    let shared = &ws.shared;
-    let norm_b = dense::norm2(b).max(f64::MIN_POSITIVE);
-    // Block bounds: block t covers [bounds[t], bounds[t+1]).
-    let bounds: Vec<usize> = (0..=p).map(|t| t * n / p).collect();
+    let master = Philox4x32::from_seed(opts.seed);
     // Each owner performs a fixed budget proportional to its block size,
     // with a barrier once per sweep: within a sweep owners run fully
     // asynchronously; across sweeps they exchange (the pattern a
     // distributed-memory port would use for boundary communication). The
     // sampled row distribution stays uniform overall and no block can be
     // starved by scheduler imbalance.
-    let block_counts: Vec<AtomicU64> = (0..p).map(|_| AtomicU64::new(0)).collect();
-    let master = Philox4x32::from_seed(opts.seed);
-
-    let mut driver = Driver::new(&opts.term, opts.record);
-    let epoch_sweeps = crate::jacobi::epoch_len(&opts.term, opts.record);
-    let mut sweeps_done = 0usize;
-
-    resize_scratch(&mut ws.snap, n);
-    resize_scratch(&mut ws.resid, n);
-    let snap = &mut ws.snap;
-    let resid = &mut ws.resid;
-
-    while sweeps_done < driver.max_sweeps() {
-        let this_epoch = epoch_sweeps.min(driver.max_sweeps() - sweeps_done);
-        let sweeps_before = sweeps_done;
-        sweeps_done += this_epoch;
-        let barrier = std::sync::Barrier::new(p);
-        // One pool round per epoch; the round's worker id *is* the block
-        // owner id, so pool worker `t` owns rows [bounds[t], bounds[t+1]).
-        pool.run(p, |t| {
-            let lo = bounds[t];
-            let hi = bounds[t + 1];
-            let gen = master.substream(t as u64);
-            let width = hi - lo;
-            // The Philox counter is a pure function of how many
-            // updates this owner has already applied, so epochs
-            // continue the same per-owner random sequence.
-            let mut local: u64 = (sweeps_before as u64) * (width as u64);
-            for _sweep in 0..this_epoch {
-                for _ in 0..width {
-                    let r = lo + gen.index_at(local, width);
-                    local += 1;
-                    let mut dot = 0.0;
-                    a.visit_row(r, |c, v| dot += v * shared.load(c));
-                    let gamma = (b[r] - dot) * dinv[r];
-                    // Single-owner write: a plain store is race-free.
-                    shared.store(r, shared.load(r) + opts.beta * gamma);
-                }
-                // One exchange per sweep — the BSP-style boundary
-                // communication a distributed-memory port would do.
-                barrier.wait();
+    let barrier = Barrier::new(p);
+    // The round's worker id *is* the block owner id, so pool worker `t`
+    // owns rows [t*n/P, (t+1)*n/P).
+    let own = |t: usize, x: &SharedVec, e: &Epoch| {
+        let lo = t * n / p;
+        let width = (t + 1) * n / p - lo;
+        let gen = master.substream(t as u64);
+        // The Philox counter is a pure function of how many updates this
+        // owner has already applied, so epochs continue the same
+        // per-owner random sequence.
+        let (first, last) = e.range;
+        let mut local = first * width as u64;
+        for _sweep in first..last {
+            for _ in 0..width {
+                let r = lo + gen.index_at(local, width);
+                local += 1;
+                let mut dot = 0.0;
+                a.visit_row(r, |c, v| dot += v * x.load(c));
+                let gamma = (b[r] - dot) * dinv[r];
+                // Single-owner write: a plain store is race-free.
+                x.store(r, x.load(r) + opts.beta * gamma);
             }
-            block_counts[t].fetch_add((this_epoch as u64) * (width as u64), Ordering::Relaxed);
-        });
-        let stop = driver.observe_lazy(sweeps_done, (sweeps_done as u64) * (n as u64), || {
-            shared.snapshot_into(snap);
-            (a.rel_residual_into(b, snap, norm_b, resid), None)
-        });
-        if stop {
-            break;
+            // One exchange per sweep — the BSP-style boundary
+            // communication a distributed-memory port would do.
+            barrier.wait();
         }
-    }
-
-    shared.snapshot_into(x);
-    let total = (sweeps_done as u64) * (n as u64);
-    let report = driver.finish(total, p, || a.rel_residual_into(b, x, norm_b, resid));
-    Ok(PartitionedReport {
-        report,
-        block_iterations: block_counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect(),
-    })
+    };
+    let plan = Plan {
+        pool,
+        threads: p,
+        cadence: Some(opts.record.every).filter(|&k| k > 0),
+        claims_per_sweep: 1,
+        term: &opts.term,
+        record: opts.record,
+        health: None,
+        faults: None,
+    };
+    epochs::run(&plan, scratch, a, b, x, None, Update::Pool(&own))
 }
 
 /// Solve `A x = b` with block-partitioned AsyRGS; see
@@ -209,7 +172,7 @@ pub fn try_partitioned_solve<O: RowAccess + Sync>(
     b: &[f64],
     x: &mut [f64],
     opts: &PartitionedOptions,
-) -> Result<PartitionedReport, SolveError> {
+) -> Result<SolveReport, SolveError> {
     partitioned_solve_in(
         &asyrgs_parallel::pool_for(opts.threads),
         &mut SolveWorkspace::new(),
@@ -250,13 +213,7 @@ mod tests {
             },
         )
         .unwrap_or_else(|e| panic!("{e}"));
-        assert!(
-            rep.report.final_rel_residual < 1e-5,
-            "{}",
-            rep.report.final_rel_residual
-        );
-        assert_eq!(rep.block_iterations.len(), 1);
-        assert_eq!(rep.block_iterations[0], rep.report.iterations);
+        assert!(rep.final_rel_residual < 1e-5, "{}", rep.final_rel_residual);
     }
 
     #[test]
@@ -275,14 +232,7 @@ mod tests {
             },
         )
         .unwrap_or_else(|e| panic!("{e}"));
-        assert!(
-            rep.report.final_rel_residual < 1e-4,
-            "{}",
-            rep.report.final_rel_residual
-        );
-        // All updates accounted for.
-        let sum: u64 = rep.block_iterations.iter().sum();
-        assert_eq!(sum, rep.report.iterations);
+        assert!(rep.final_rel_residual < 1e-4, "{}", rep.final_rel_residual);
     }
 
     #[test]
@@ -302,7 +252,7 @@ mod tests {
             },
         )
         .unwrap_or_else(|e| panic!("{e}"));
-        assert!(rep.report.final_rel_residual < 1e-8);
+        assert!(rep.final_rel_residual < 1e-8);
     }
 
     #[test]
@@ -338,35 +288,13 @@ mod tests {
             },
         )
         .unwrap_or_else(|e| panic!("{e}"));
-        let ratio = part.report.final_rel_residual / full.final_rel_residual;
+        let ratio = part.final_rel_residual / full.final_rel_residual;
         assert!(
             ratio < 100.0,
             "partitioned {} vs unrestricted {}",
-            part.report.final_rel_residual,
+            part.final_rel_residual,
             full.final_rel_residual
         );
-    }
-
-    #[test]
-    fn blocks_receive_balanced_work_single_core() {
-        let (a, b, _) = problem(8);
-        let n = a.n_rows();
-        let mut x = vec![0.0; n];
-        let rep = try_partitioned_solve(
-            &a,
-            &b,
-            &mut x,
-            &PartitionedOptions {
-                threads: 4,
-                term: Termination::sweeps(50),
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        // No block should be starved entirely.
-        for (t, &c) in rep.block_iterations.iter().enumerate() {
-            assert!(c > 0, "block {t} starved");
-        }
     }
 
     #[test]
@@ -386,7 +314,7 @@ mod tests {
             },
         )
         .unwrap_or_else(|e| panic!("{e}"));
-        let sweeps: Vec<usize> = rep.report.records.iter().map(|r| r.sweep).collect();
+        let sweeps: Vec<usize> = rep.records.iter().map(|r| r.sweep).collect();
         assert_eq!(sweeps, vec![5, 10, 15, 20]);
     }
 

@@ -108,6 +108,18 @@ pub enum ScenarioClass {
     LeastSquares,
 }
 
+impl ScenarioClass {
+    /// Stable lowercase name (used in `BENCH_scenarios.json` and
+    /// `BENCH_policy.json`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            ScenarioClass::SquareSpd => "square_spd",
+            ScenarioClass::SquareNonsym => "square_nonsym",
+            ScenarioClass::LeastSquares => "least_squares",
+        }
+    }
+}
+
 /// What a solver family is expected to do on a scenario — the cell
 /// semantics of the conformance matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -97,9 +97,7 @@ pub mod prelude {
     pub use asyrgs_core::health::{is_watchdog_trip, HealthConfig, HealthMonitor, RecoveryPolicy};
     pub use asyrgs_core::jacobi::{try_async_jacobi_solve, try_jacobi_solve, JacobiOptions};
     pub use asyrgs_core::lsq::{try_async_rcd_solve, try_rcd_solve, LsqOperator, LsqSolveOptions};
-    pub use asyrgs_core::partitioned::{
-        try_partitioned_solve, PartitionedOptions, PartitionedReport,
-    };
+    pub use asyrgs_core::partitioned::{try_partitioned_solve, PartitionedOptions};
     pub use asyrgs_core::report::{RecoveryAttempt, SolveReport, SweepRecord};
     pub use asyrgs_core::rgs::{try_rgs_solve, RgsOptions};
     pub use asyrgs_core::theory;

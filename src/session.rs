@@ -993,7 +993,7 @@ impl SolveSession {
             }
             SolverFamily::Partitioned => {
                 let opts = self.partitioned_options();
-                Ok(partitioned_solve_in(&self.pool, &mut self.ws, a, b, x, &opts)?.report)
+                partitioned_solve_in(&self.pool, &mut self.ws, a, b, x, &opts)
             }
             SolverFamily::Cg => {
                 let opts = self.cg_options();

@@ -473,7 +473,7 @@ fn fingerprints() -> Vec<Row> {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        let one_shot = try_partitioned_solve(&a, &b, &mut x, &opts).unwrap().report;
+        let one_shot = try_partitioned_solve(&a, &b, &mut x, &opts).unwrap();
         let mut y = vec![0.0; n];
         let via_session = SolverBuilder::new(SolverFamily::Partitioned)
             .beta(opts.beta)

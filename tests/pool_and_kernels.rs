@@ -320,11 +320,7 @@ fn multithreaded_pooled_solvers_still_converge() {
         },
     )
     .expect("solve failed");
-    assert!(
-        rep.report.final_rel_residual < 1e-3,
-        "{}",
-        rep.report.final_rel_residual
-    );
+    assert!(rep.final_rel_residual < 1e-3, "{}", rep.final_rel_residual);
 
     let mut x = vec![0.0; n];
     let rep = asyrgs::core::async_jacobi_solve_in(
