@@ -37,7 +37,8 @@ use asyrgs_workloads::scenarios::{
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Solver threads for every cell and study row.
+/// Solver threads of every study row: the 2 that `scenario_session` gives
+/// every cell, written out as `solver_threads`.
 const THREADS: usize = 2;
 
 fn family_of(name: &str) -> SolverFamily {
